@@ -50,27 +50,31 @@ def unbatch(values: np.ndarray, single: bool):
 def batch_call(fn, *args, expect_shape: tuple[int, ...], label: str):
     """Call a user coefficient on a batch and validate the output shape.
 
-    Tries the vectorized call first; if the result has the wrong shape, falls
-    back to a row-by-row loop so scalar-only user callables still work (the
-    built-in problems are all vectorized).
+    Tries the vectorized call first; if it raises or the result has the wrong
+    shape, falls back to a row-by-row loop so scalar-only user callables still
+    work (the built-in problems are all vectorized).  If the loop raises too,
+    its exception is chained to the vectorized call's.
     """
+    first = None
     try:
         out = np.asarray(fn(*args), dtype=float)
-    except Exception:
-        out = None
-    if out is not None and out.shape == expect_shape:
-        return out
-    # Fallback: evaluate one row at a time.  args[0] is t (scalar), the rest
-    # are batches over axis 0.  A scalar return must not be broadcast — it may
-    # be a scalar-only callable's answer for the first row, not a constant.
-    n_batch = expect_shape[0]
-    rows = []
-    for i in range(n_batch):
-        row_args = [args[0]] + [np.asarray(a)[i] for a in args[1:]]
-        rows.append(np.asarray(fn(*row_args), dtype=float).reshape(expect_shape[1:]))
-    out = np.stack(rows, axis=0) if rows else np.empty(expect_shape)
-    if out.shape != expect_shape:
-        raise ValueError(
-            f"{label} returned shape {out.shape}, expected {expect_shape}"
-        )
+        if out.shape == expect_shape:
+            return out
+    except Exception as exc:
+        first = exc
+    # Fallback: evaluate one row at a time.  Array arguments are batches over
+    # axis 0; scalars (the time t, where the callable takes one) pass through.
+    # A scalar return must not be broadcast — it may be a scalar-only
+    # callable's answer for the first row, not a constant.
+    out, row_shape = np.empty(expect_shape), expect_shape[1:]
+    try:
+        for i in range(expect_shape[0]):
+            row = np.asarray(fn(*[a if np.ndim(a) == 0 else np.asarray(a)[i] for a in args]),
+                             dtype=float)
+            if row.size != int(np.prod(row_shape)):
+                raise ValueError(f"{label} returned shape {row.shape} for one row, "
+                                 f"expected {row_shape}")
+            out[i] = row.reshape(row_shape)
+    except Exception as exc:
+        raise exc from first
     return out

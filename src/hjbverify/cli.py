@@ -1,12 +1,13 @@
 """Command-line interface: solve, simulate, verify, and benchmark workflows.
 
 Configuration is a flat sectioned ``key = value`` file (INI syntax, sections
-``[problem]``, ``[grid]``, ``[mc]``, ``[verify]``).  Every run writes its
-fully resolved configuration (defaults filled, CLI overrides applied) to
-``<out>/config.ini``; re-running any subcommand on that echo reproduces all
-CSV/JSON outputs byte-for-byte.  The human-readable markdown report embeds a
-timestamp in one designated header line only — every other output is
-deterministic given the config.
+``[problem]``, ``[grid]``, ``[mc]``, ``[verify]``; ``[problem]`` and
+``[benchmark]`` for the benchmark subcommand), described by ``_SCHEMA``.
+Every run writes its fully resolved configuration (defaults filled, CLI
+overrides applied) to ``<out>/config.ini``; re-running any subcommand on that
+echo reproduces all CSV/JSON outputs byte-for-byte.  The human-readable
+markdown report embeds a timestamp in one designated header line only — every
+other output is deterministic given the config.
 
 Exit status: 0 when all gated checks pass, 1 with a machine-readable
 ``failures.json`` when a gated check fails, 2 on configuration or runtime
@@ -40,62 +41,44 @@ __all__ = ["main"]
 
 log = logging.getLogger(__name__)
 
-_KINDS = ("advertising", "exit_constant", "exit_expected_time", "discounted_constant")
-_SECTION_ORDER = ("problem", "grid", "mc", "verify")
 _N_DUMP_PATHS = 100  # paths.csv keeps the first 100 paths (per-path streams make
                      # this an exact prefix of the full estimator run)
 
-# Allowed keys per section; [problem] parameter keys depend on the kind.
-_PROBLEM_KEYS = {
-    "advertising": ("eta", "alpha", "beta", "horizon"),
-    "exit_constant": ("horizon", "constant"),
-    "exit_expected_time": ("horizon",),
-    "discounted_constant": ("rate", "cost"),
+# Per problem kind: its [problem] parameters (all floats) with their defaults,
+# and the defaults it changes in the other sections of _SCHEMA.
+_PER_KIND = {
+    "advertising": {
+        "problem": {"eta": 0.5, "alpha": 1.0, "beta": 0.5, "horizon": 1.0},
+        "grid": {"x_min": 0.1, "x_max": 5.0, "nx": 401, "nt": 1000, "boundary": "closed_form"},
+        "verify": {"x0": 2.0, "policy": "feedback"},
+    },
+    "exit_constant": {"problem": {"horizon": 1.0, "constant": 1.0}},
+    "exit_expected_time": {"problem": {"horizon": 3.0}},
+    "discounted_constant": {"problem": {"rate": 1.0, "cost": 1.0}, "verify": {"x0": 0.0}},
 }
-_GRID_KEYS = ("x_min", "x_max", "nx", "nt", "boundary")
-_MC_KEYS = ("paths", "dt", "seed", "exit_rule")
-_VERIFY_KEYS = ("policy", "t0", "x0", "c1", "c2", "tolerance", "truncation_t1")
+
+# The config schema, in echo order: section -> key -> (type, default).  A type
+# is float, int, str, [float] (a comma-separated list) or a tuple of the
+# allowed words.  A key whose default is None is echoed only when it is set,
+# except [benchmark] times, which defaults to quarters of the horizon.  The
+# benchmark subcommand reads [problem] and [benchmark]; the others read the
+# rest.
+_SCHEMA = {
+    "problem": {"kind": (tuple(_PER_KIND), "advertising")},
+    "grid": {"x_min": (float, 0.0), "x_max": (float, 1.0), "nx": (int, 201), "nt": (int, 1500),
+             "boundary": (("closed_form", "extrapolate"), "extrapolate")},
+    "mc": {"paths": (int, 10000), "dt": (float, 0.001), "seed": (int, 0),
+           "exit_rule": (("grid_crossing", "brownian_bridge"), "grid_crossing")},
+    "verify": {"policy": (str, "zero"), "t0": (float, 0.0), "x0": (float, 0.5),
+               "c1": (float, 1.0), "c2": (float, 1.0), "tolerance": (float, None),
+               "truncation_t1": (float, 20.0)},
+    "benchmark": {"times": ([float], None), "x_min": (float, -2.0), "x_max": (float, 2.0),
+                  "nx": (int, 81), "nt_coefficients": (int, 201)},
+}
 
 
 class ConfigError(ValueError):
     """A configuration file problem, citing the offending section/key."""
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _defaults(kind: str) -> dict[str, dict[str, str]]:
-    problem = {"kind": kind}
-    if kind == "advertising":
-        problem.update(eta="0.5", alpha="1.0", beta="0.5", horizon="1.0")
-        grid = {"x_min": "0.1", "x_max": "5.0", "nx": "401", "nt": "1000",
-                "boundary": "closed_form"}
-        x0, policy = "2.0", "feedback"
-    elif kind == "discounted_constant":
-        problem.update(rate="1.0", cost="1.0")
-        grid = {"x_min": "0.0", "x_max": "1.0", "nx": "201", "nt": "1500",
-                "boundary": "extrapolate"}
-        x0, policy = "0.0", "zero"
-    else:
-        problem["horizon"] = "1.0" if kind == "exit_constant" else "3.0"
-        if kind == "exit_constant":
-            problem["constant"] = "1.0"
-        grid = {"x_min": "0.0", "x_max": "1.0", "nx": "201", "nt": "1500",
-                "boundary": "extrapolate"}
-        x0, policy = "0.5", "zero"
-    return {
-        "problem": problem,
-        "grid": grid,
-        "mc": {"paths": "10000", "dt": "0.001", "seed": "0",
-               "exit_rule": "grid_crossing"},
-        "verify": {"policy": policy, "t0": "0.0", "x0": x0, "c1": "1.0",
-                   "c2": "1.0", "truncation_t1": "20.0"},
-    }
 
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
@@ -110,84 +93,70 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _resolve(raw: dict[str, dict[str, str]], seed_override: int | None) -> dict[str, dict[str, str]]:
-    """Fill defaults, validate every section/key, canonicalize value strings."""
-    for section in raw:
-        if section not in _SECTION_ORDER:
-            raise ConfigError(f"unknown config section [{section}]")
-    problem_in = dict(raw.get("problem", {}))
-    kind = problem_in.pop("kind", "advertising")
-    if kind not in _KINDS:
-        raise ConfigError(
-            f"[problem] kind = {kind!r} is not one of {', '.join(_KINDS)}"
-        )
-    cfg = _defaults(kind)
+def _canonical(section: str, key: str, text, typ) -> str:
+    """Parse ``text`` as ``typ`` and format it back, so the echo is a fixed point."""
+    if isinstance(typ, tuple):
+        if text not in typ:
+            raise ConfigError(f"[{section}] {key} = {text!r} is not one of "
+                              f"{', '.join(typ[:-1])} or {typ[-1]}")
+        return text
+    try:
+        if isinstance(typ, list):
+            return ",".join(str(typ[0](item)) for item in text.split(","))
+        return str(typ(text))
+    except ValueError as exc:
+        name = f"comma-separated list of {typ[0].__name__}s" if isinstance(typ, list) else typ.__name__
+        raise ConfigError(f"[{section}] {key} = {text!r} is not a valid {name}") from exc
 
-    allowed = {
-        "problem": _PROBLEM_KEYS[kind],
-        "grid": _GRID_KEYS,
-        "mc": _MC_KEYS,
-        "verify": _VERIFY_KEYS,
-    }
-    for section, keys in (("problem", problem_in),
-                          ("grid", raw.get("grid", {})),
-                          ("mc", raw.get("mc", {})),
-                          ("verify", raw.get("verify", {}))):
-        for key, value in keys.items():
-            if key not in allowed[section]:
+
+def _resolve(raw: dict[str, dict[str, str]], command: str,
+             overrides: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
+    """Fill defaults, apply the flag ``overrides``, validate and canonicalize.
+
+    Returns section -> key -> canonical value text for the sections that
+    ``command`` reads.
+    """
+    sections = ("problem", "benchmark") if command == "benchmark" else ("problem", "grid", "mc", "verify")
+    for section in raw:
+        if section not in sections:
+            raise ConfigError(f"unknown config section [{section}] for {command}")
+    given = {s: {**raw.get(s, {}), **overrides.get(s, {})} for s in sections}
+    kind_type, kind_default = _SCHEMA["problem"]["kind"]
+    kind = _canonical("problem", "kind", given["problem"].get("kind", kind_default), kind_type)
+    if command == "benchmark" and kind != "advertising":
+        raise ConfigError("the benchmark subcommand supports kind = advertising only")
+    per_kind = _PER_KIND[kind]
+
+    cfg = {}
+    for section in sections:
+        schema = {key: (typ, per_kind.get(section, {}).get(key, default))
+                  for key, (typ, default) in _SCHEMA[section].items()}
+        if section == "problem":
+            schema.update((key, (float, default)) for key, default in per_kind["problem"].items())
+        for key in given[section]:
+            if key not in schema:
                 raise ConfigError(
                     f"[{section}] key {key!r} is not valid"
                     + (f" for problem kind {kind!r}" if section == "problem" else "")
                 )
-            cfg[section][key] = value
+        cfg[section] = {key: _canonical(section, key, given[section].get(key, default), typ)
+                        for key, (typ, default) in schema.items()
+                        if key in given[section] or default is not None}
 
-    if seed_override is not None:
-        cfg["mc"]["seed"] = str(int(seed_override))
-
-    # Canonicalize (parse + reformat) so the echo is a fixed point.
-    for section, key, kind_fn in (
-        ("problem", "eta", float), ("problem", "alpha", float),
-        ("problem", "beta", float), ("problem", "horizon", float),
-        ("problem", "constant", float), ("problem", "rate", float),
-        ("problem", "cost", float),
-        ("grid", "x_min", float), ("grid", "x_max", float),
-        ("grid", "nx", int), ("grid", "nt", int),
-        ("mc", "paths", int), ("mc", "dt", float), ("mc", "seed", int),
-        ("verify", "t0", float), ("verify", "x0", float),
-        ("verify", "c1", float), ("verify", "c2", float),
-        ("verify", "tolerance", float), ("verify", "truncation_t1", float),
-    ):
-        if key in cfg[section]:
-            cfg[section][key] = _fmt(_value(cfg, section, key, kind_fn))
-
-    rule = cfg["mc"]["exit_rule"]
-    if rule not in ("grid_crossing", "brownian_bridge"):
-        raise ConfigError(f"[mc] exit_rule = {rule!r} must be grid_crossing or brownian_bridge")
-    boundary = cfg["grid"]["boundary"]
-    if boundary not in ("closed_form", "extrapolate"):
-        raise ConfigError(f"[grid] boundary = {boundary!r} must be closed_form or extrapolate")
-    _parse_policy_spec(cfg["verify"]["policy"])
+    if command == "benchmark" and "times" not in cfg["benchmark"]:
+        horizon = float(cfg["problem"]["horizon"])
+        cfg["benchmark"]["times"] = ",".join(str(q / 4 * horizon) for q in range(5))
+    if "verify" in cfg:
+        _parse_policy_spec(cfg["verify"]["policy"])
     return cfg
 
 
-def _value(cfg: dict, section: str, key: str, kind_fn):
-    text = cfg[section][key]
-    try:
-        return kind_fn(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {text!r} is not a valid {kind_fn.__name__}") from exc
-
-
 def _echo_config(cfg: dict[str, dict[str, str]], out_dir: str) -> None:
+    """Write ``cfg`` as INI: sections in schema order, ``kind`` first, other keys sorted."""
     lines = []
-    for section in _SECTION_ORDER:
+    for section in (s for s in _SCHEMA if s in cfg):
         lines.append(f"[{section}]")
-        keys = list(cfg[section])
-        if section == "problem":  # kind first, parameters after
-            keys = ["kind"] + sorted(k for k in keys if k != "kind")
-        else:
-            keys = sorted(keys)
-        for key in keys:
+        for key in sorted(cfg[section], key=lambda k: (k != "kind", k)):
             lines.append(f"{key} = {cfg[section][key]}")
         lines.append("")
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
@@ -270,12 +239,6 @@ def _build_policy(cfg: dict, problem, params):
     return sde.ConstantPolicy(z)
 
 
-def _build_grid(cfg: dict) -> hjb.Grid1D:
-    g = cfg["grid"]
-    return hjb.Grid1D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
-                      nx=int(g["nx"]), nt=int(g["nt"]))
-
-
 def _build_sim_config(cfg: dict) -> sde.SimConfig:
     m = cfg["mc"]
     return sde.SimConfig(dt=float(m["dt"]), n_paths=int(m["paths"]),
@@ -283,7 +246,9 @@ def _build_sim_config(cfg: dict) -> sde.SimConfig:
 
 
 def _solve_field(cfg: dict, problem, params) -> hjb.SpaceTimeField:
-    grid = _build_grid(cfg)
+    g = cfg["grid"]
+    grid = hjb.Grid1D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
+                      nx=int(g["nx"]), nt=int(g["nt"]))
     if problem.domain is not None:
         return hjb.solve_exit(problem, grid)
     boundary = None
@@ -547,15 +512,12 @@ def _write_markdown(path, cfg, report, certificate, hypotheses, diagnostics) -> 
 
 
 def cmd_benchmark(cfg: dict, out_dir: str) -> list[dict]:
-    p = cfg["problem"]
-    params = bm.AdvertisingParams(eta=float(p["eta"]), alpha=float(p["alpha"]),
-                                  beta=float(p["beta"]), horizon=float(p["horizon"]))
+    _, params = _build_problem(cfg)
     b = cfg["benchmark"]
     times = [float(s) for s in b["times"].split(",")]
     xs = np.linspace(float(b["x_min"]), float(b["x_max"]), int(b["nx"]))
-    T = params.horizon
 
-    ts = np.linspace(0.0, T, int(b["nt_coefficients"]))
+    ts = np.linspace(0.0, params.horizon, int(b["nt_coefficients"]))
     with open(os.path.join(out_dir, "coefficients.csv"), "w") as fh:
         fh.write("t,a,b\n")
         for t in ts:
@@ -669,67 +631,6 @@ def _benchmark_checks(params: bm.AdvertisingParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Default probe times are quarters of the horizon, filled in once the
-# horizon is known; "times" appears here only to whitelist the key.
-_BENCH_DEFAULTS = {"times": "", "x_min": "-2.0",
-                   "x_max": "2.0", "nx": "81", "nt_coefficients": "201"}
-_BENCH_TIME_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def _resolve_benchmark(args) -> dict[str, dict[str, str]]:
-    if args.name != "advertising":
-        raise ConfigError(f"unknown benchmark {args.name!r}; available: advertising")
-    raw = _load_config(args.config) if args.config else {}
-    for section in raw:
-        if section not in ("problem", "benchmark"):
-            raise ConfigError(f"unknown config section [{section}] for benchmark")
-    problem = {"kind": "advertising", "eta": "0.5", "alpha": "1.0",
-               "beta": "0.5", "horizon": "1.0"}
-    for key, value in raw.get("problem", {}).items():
-        if key not in ("kind",) + _PROBLEM_KEYS["advertising"]:
-            raise ConfigError(f"[problem] key {key!r} is not valid for the advertising benchmark")
-        problem[key] = value
-    bench = dict(_BENCH_DEFAULTS)
-    for key, value in raw.get("benchmark", {}).items():
-        if key not in _BENCH_DEFAULTS:
-            raise ConfigError(f"[benchmark] key {key!r} is not valid")
-        bench[key] = value
-    for flag in ("eta", "alpha", "beta", "horizon"):
-        value = getattr(args, flag)
-        if value is not None:
-            problem[flag] = _fmt(float(value))
-    if problem["kind"] != "advertising":
-        raise ConfigError("the benchmark subcommand supports kind = advertising only")
-    cfg = {"problem": problem, "benchmark": bench}
-    if not bench["times"]:
-        horizon = _value(cfg, "problem", "horizon", float)
-        bench["times"] = ",".join(_fmt(f * horizon) for f in _BENCH_TIME_FRACTIONS)
-    for section, key, kind_fn in (
-        ("problem", "eta", float), ("problem", "alpha", float),
-        ("problem", "beta", float), ("problem", "horizon", float),
-        ("benchmark", "x_min", float), ("benchmark", "x_max", float),
-        ("benchmark", "nx", int), ("benchmark", "nt_coefficients", int),
-    ):
-        cfg[section][key] = _fmt(_value(cfg, section, key, kind_fn))
-    cfg["benchmark"]["times"] = ",".join(
-        _fmt(float(s)) for s in cfg["benchmark"]["times"].split(",")
-    )
-    return cfg
-
-
-def _echo_benchmark(cfg: dict, out_dir: str) -> None:
-    lines = ["[problem]", f"kind = {cfg['problem']['kind']}"]
-    for key in sorted(k for k in cfg["problem"] if k != "kind"):
-        lines.append(f"{key} = {cfg['problem'][key]}")
-    lines.append("")
-    lines.append("[benchmark]")
-    for key in sorted(cfg["benchmark"]):
-        lines.append(f"{key} = {cfg['benchmark'][key]}")
-    lines.append("")
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
-        fh.write("\n".join(lines))
-
-
 def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (INI)")
@@ -771,17 +672,21 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     try:
+        overrides = {}
         if args.command == "benchmark":
-            cfg = _resolve_benchmark(args)
-            _echo_benchmark(cfg, out_dir)
-            failures = cmd_benchmark(cfg, out_dir)
-        else:
-            if not args.config:
-                raise ConfigError(f"the {args.command} subcommand requires --config")
-            cfg = _resolve(_load_config(args.config), args.seed)
-            _echo_config(cfg, out_dir)
-            failures = {"solve": cmd_solve, "simulate": cmd_simulate,
-                        "verify": cmd_verify}[args.command](cfg, out_dir)
+            if args.name != "advertising":
+                raise ConfigError(f"unknown benchmark {args.name!r}; available: advertising")
+            overrides["problem"] = {flag: str(getattr(args, flag))
+                                    for flag in ("eta", "alpha", "beta", "horizon")
+                                    if getattr(args, flag) is not None}
+        elif not args.config:
+            raise ConfigError(f"the {args.command} subcommand requires --config")
+        elif args.seed is not None:
+            overrides["mc"] = {"seed": str(args.seed)}
+        cfg = _resolve(_load_config(args.config) if args.config else {}, args.command, overrides)
+        _echo_config(cfg, out_dir)
+        failures = {"solve": cmd_solve, "simulate": cmd_simulate, "verify": cmd_verify,
+                    "benchmark": cmd_benchmark}[args.command](cfg, out_dir)
     except (ConfigError, CoefficientError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_json(os.path.join(out_dir, "failures.json"),

@@ -330,17 +330,6 @@ def _clamped_gap(raw: np.ndarray, h0: np.ndarray) -> np.ndarray:
     return np.where(raw > tol, raw, 0.0)
 
 
-def _gap_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs: np.ndarray,
-               clamp: bool = True) -> np.ndarray:
-    """Vectorized duality gap at each row; the problem must be canonical."""
-    h = _h_cv(prob, t, xs, ps, zs)
-    h0, _, _ = _minimize_batch(prob, t, xs, ps)
-    raw = h - h0
-    if not clamp:
-        return raw
-    return _clamped_gap(raw, h0)
-
-
 def _describe_set(U) -> str:
     if U.kind == "box":
         return f"box[{U.lower}, {U.upper}]"

@@ -19,6 +19,7 @@ returned field carries values/gradients in the problem's declared sense.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable
@@ -83,13 +84,19 @@ class Grid1D:
             raise ValueError("grid has no time interval yet")
         return (self.t_final - self.t0) / self.nt
 
-    @property
+    # Field probes look the coordinates up at every Monte Carlo step, so they
+    # are built once per grid and shared read-only.
+    @functools.cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        xs = np.linspace(self.x_min, self.x_max, self.nx)
+        xs.flags.writeable = False
+        return xs
 
-    @property
+    @functools.cached_property
     def ts(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.nt + 1)
+        ts = self.t0 + self.dt * np.arange(self.nt + 1)
+        ts.flags.writeable = False
+        return ts
 
     @property
     def stability_ratio(self) -> float:

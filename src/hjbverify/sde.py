@@ -354,27 +354,19 @@ def simulate(
             active &= ~bad
             x_next[bad] = x[bad]
 
-        if domain is not None:
+        if domain is not None and np.any(active):
             sd_next = domain.signed_distance(x_next)
-            crossed = active & (sd_next >= 0.0)
-            if np.any(crossed):
-                exit_step[crossed] = i + 1
-                exit_time[crossed] = times[i + 1]
-                exit_state[crossed] = domain.project_to_boundary(x_next[crossed])
-                active &= ~crossed
-            if bridge_u is not None:
-                interior = active & (sd_next < 0.0)
-                if np.any(interior):
-                    sigma2 = np.einsum("pnm,pnm->p", diff, diff)  # (B Bᵀ) for n=1
-                    with np.errstate(divide="ignore", over="ignore"):
-                        pcross = np.exp(-2.0 * sd_prev * sd_next / (sigma2 * dt))
-                    pcross = np.where(sigma2 > 0.0, pcross, 0.0)
-                    fired = interior & (bridge_u[:, i] < pcross)
-                    if np.any(fired):
-                        exit_step[fired] = i + 1
-                        exit_time[fired] = times[i + 1]
-                        exit_state[fired] = domain.project_to_boundary(x[fired])
-                        active &= ~fired
+            live = np.flatnonzero(active)
+            sigma2 = u = None
+            if bridge_u is not None:  # σ² = B Bᵀ, n = 1
+                sigma2, u = np.einsum("pnm,pnm->p", diff[live], diff[live]), bridge_u[live, i]
+            hit, where = _step_exits(domain, x[live], x_next[live], sd_prev[live], sd_next[live],
+                                     dt, sigma2, u)
+            exited = live[hit]
+            exit_step[exited] = i + 1
+            exit_time[exited] = times[i + 1]
+            exit_state[exited] = where[hit]
+            active[exited] = False
             sd_prev = sd_next
 
         states[:, i + 1] = x_next
@@ -418,8 +410,34 @@ def simulate_chunks(
 
 
 # ---------------------------------------------------------------------------
-# Exit detection on a single path
+# Exit detection
 # ---------------------------------------------------------------------------
+
+
+def _step_exits(domain: Domain, x_left: np.ndarray, x_right: np.ndarray,
+                sd_left: np.ndarray, sd_right: np.ndarray, dt: float,
+                sigma2: np.ndarray | None = None, u: np.ndarray | None = None):
+    """The exit rule, applied to Euler steps ``x_left -> x_right`` (one per row).
+
+    A step exits when ``x_right`` lies in the closure of the complement
+    (grid crossing; the exit state is ``x_right`` projected onto the
+    boundary).  Otherwise, when bridge uniforms ``u`` are given, a step that
+    starts inside exits if ``u < exp(-2 d_l d_r / (σ² dt))`` with
+    ``σ² = sigma2 > 0`` (Brownian bridge; the exit state is ``x_left``
+    projected).  Returns the exit mask and the exit states (nan elsewhere).
+    """
+    crossed = sd_right >= 0.0
+    fired = np.zeros_like(crossed)
+    if u is not None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pcross = np.exp(-2.0 * sd_left * sd_right / (sigma2 * dt))
+        fired = ~crossed & (sd_left < 0.0) & (sigma2 > 0.0) & (u < pcross)
+    states = np.full(x_right.shape, np.nan)
+    if np.any(crossed):
+        states[crossed] = domain.project_to_boundary(x_right[crossed])
+    if np.any(fired):
+        states[fired] = domain.project_to_boundary(x_left[fired])
+    return crossed | fired, states
 
 
 def detect_exit(
@@ -439,7 +457,7 @@ def detect_exit(
     boundary; σ² = B Bᵀ at the step's left endpoint, supplied via
     ``diffusion`` as a callable (t, x) -> σ² or a per-step array).  The bridge
     consumes exactly one uniform from ``rng_substream`` per step, aligned with
-    the simulator's consumption.
+    the simulator's consumption.  The rule is the simulator's own.
     """
     x = np.asarray(states_path, dtype=float)
     if x.ndim == 1:
@@ -447,32 +465,26 @@ def detect_exit(
     n_steps = x.shape[0] - 1
     sd = domain.signed_distance(x)
     if exit_rule == "grid_crossing":
-        u = None
+        sigma2 = u = None
     elif exit_rule == "brownian_bridge":
         if x.shape[1] != 1:
             raise ValueError("the brownian_bridge exit rule is only defined for 1-d domains")
         if rng_substream is None or diffusion is None:
             raise ValueError("brownian_bridge detection needs rng_substream and diffusion")
         u = rng_substream.random(n_steps)
+        if callable(diffusion):  # evaluated only where the step starts inside
+            sigma2 = np.array([float(diffusion(t0 + i * dt, x[i])) if sd[i] < 0.0 else 0.0
+                               for i in range(n_steps)])
+        else:
+            sigma2 = np.asarray(diffusion, dtype=float)
     else:
         raise ValueError(f"unknown exit rule {exit_rule!r}")
 
-    for i in range(n_steps):
-        if sd[i + 1] >= 0.0:
-            state = domain.project_to_boundary(x[i + 1])
-            return ExitRecord(step=i + 1, time=t0 + (i + 1) * dt, state=np.atleast_1d(state))
-        if u is not None and sd[i] < 0.0:
-            if callable(diffusion):
-                sigma2 = float(diffusion(t0 + i * dt, x[i]))
-            else:
-                sigma2 = float(np.asarray(diffusion)[i])
-            if sigma2 > 0.0:
-                pcross = np.exp(-2.0 * sd[i] * sd[i + 1] / (sigma2 * dt))
-                if u[i] < pcross:
-                    state = domain.project_to_boundary(x[i])
-                    return ExitRecord(step=i + 1, time=t0 + (i + 1) * dt,
-                                      state=np.atleast_1d(state))
-    return None
+    hit, where = _step_exits(domain, x[:-1], x[1:], sd[:-1], sd[1:], dt, sigma2, u)
+    if not np.any(hit):
+        return None
+    i = int(np.argmax(hit))
+    return ExitRecord(step=i + 1, time=t0 + (i + 1) * dt, state=where[i])
 
 
 # ---------------------------------------------------------------------------

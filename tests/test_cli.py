@@ -133,6 +133,39 @@ class TestConfigValidation:
         )
         assert "grid_crossing or brownian_bridge" in message
 
+    @pytest.mark.parametrize("section, key, text, type_name", [
+        ("problem", "eta", "half", "float"),
+        ("grid", "nx", "4.5", "int"),
+        ("mc", "paths", "1e4", "int"),
+        ("verify", "x0", "2,0", "float"),
+    ])
+    def test_malformed_number_names_key_and_type(self, tmp_path, section, key, text,
+                                                 type_name):
+        body = f"[{section}]\n{key} = {text}\n"
+        if section != "problem":
+            body = "[problem]\nkind = advertising\n\n" + body
+        message = _run_failure(tmp_path, body)
+        assert f"[{section}] {key} = {text!r} is not a valid {type_name}" in message
+
+    def test_malformed_benchmark_value_names_key_and_type(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _config(tmp_path, "[benchmark]\nnx = 8l\n")
+        assert cli.main(["benchmark", "advertising", "--config", cfg, "--out", str(out)]) == 2
+        (record,) = _json_of(out, "failures.json")
+        assert "[benchmark] nx = '8l' is not a valid int" in record["message"]
+
+    @pytest.mark.parametrize("section, key, allowed", [
+        ("mc", "exit_rule", ("grid_crossing", "brownian_bridge")),
+        ("grid", "boundary", ("closed_form", "extrapolate")),
+    ])
+    def test_bad_enumerated_value_lists_the_allowed_values(self, tmp_path, section, key,
+                                                           allowed):
+        message = _run_failure(
+            tmp_path, f"[problem]\nkind = advertising\n\n[{section}]\n{key} = other\n"
+        )
+        assert f"[{section}] {key} = 'other' is not one of" in message
+        assert all(value in message for value in allowed)
+
     def test_bad_policy_spec_is_rejected(self, tmp_path):
         message = _run_failure(
             tmp_path,
@@ -230,6 +263,51 @@ class TestConfigEcho:
         assert cli.main(["solve", "--config", str(out1 / "config.ini"),
                          "--out", str(out2)]) == 0
         for name in ("config.ini", "field.csv", "residual.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("advertising", "eta = .5\nhorizon = 1"),
+        ("exit_constant", "constant = 2.50"),
+        ("exit_expected_time", "horizon = 3"),
+        ("discounted_constant", "rate = 2\ncost = 5e-1"),
+    ])
+    def test_echo_is_a_fixed_point_for_every_kind(self, tmp_path, kind, extra):
+        cfg = _config(tmp_path, f"[problem]\nkind = {kind}\n{extra}\n\n"
+                                "[mc]\npaths = 012\ndt = 5e-2\n")
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        echoed = (out1 / "config.ini").read_text().splitlines()
+        assert [l for l in echoed if l.startswith("[")] == [
+            "[problem]", "[grid]", "[mc]", "[verify]"]
+        assert echoed[1] == f"kind = {kind}"
+        assert "paths = 12" in echoed and "dt = 0.05" in echoed
+        assert cli.main(["simulate", "--config", str(out1 / "config.ini"),
+                         "--out", str(out2)]) == 0
+        for name in ("config.ini", "estimate.json", "paths.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("config, flags", [
+        (None, ()),
+        ("[problem]\nhorizon = 2\n\n[benchmark]\ntimes = 0, .5,1\nnx = 11\n", ()),
+        (None, ("--eta", "0.3", "--horizon", "0.7")),
+    ], ids=["defaults", "config", "flags"])
+    def test_benchmark_echo_is_a_fixed_point(self, tmp_path, monkeypatch, config, flags):
+        # The closed-form self-checks take seconds and read only the
+        # parameters; the echo and the tables are what is checked here.
+        monkeypatch.setattr(cli, "_benchmark_checks", lambda *_: dict.fromkeys(
+            ("terminal_defect", "ode_residual_sup", "pde_residual_sup",
+             "feedback_consistency_sup"), 0.0))
+        argv = ["benchmark", "advertising", *flags]
+        if config is not None:
+            argv += ["--config", _config(tmp_path, config)]
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert cli.main([*argv, "--out", str(out1)]) == 0
+        echoed = (out1 / "config.ini").read_text().splitlines()
+        assert [l for l in echoed if l.startswith("[")] == ["[problem]", "[benchmark]"]
+        assert echoed[1] == "kind = advertising"
+        assert cli.main(["benchmark", "advertising", "--config", str(out1 / "config.ini"),
+                         "--out", str(out2)]) == 0
+        for name in ("config.ini", "coefficients.csv", "values.csv", "benchmark.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_override_is_echoed(self, tmp_path):

@@ -53,6 +53,9 @@ class TestGrid1D:
         assert g.stability_ratio == pytest.approx(25.0)
         assert np.allclose(g.xs, np.linspace(0, 1, 11))
         assert g.ts.shape == (5,)
+        # Built once per grid and shared, so no caller may write into them.
+        assert g.xs is g.xs and g.ts is g.ts
+        assert not g.xs.flags.writeable and not g.ts.flags.writeable
 
     def test_dt_requires_time_interval(self):
         with pytest.raises(ValueError, match="no time interval"):

@@ -135,6 +135,27 @@ class TestControlProblem:
         out = prob.f0(0.0, np.array([[1.0], [3.0]]))
         assert np.allclose(out, [[-1.0], [-3.0]])
 
+    def test_scalar_only_callables_without_time_argument(self):
+        # Terminal and discounted running costs take no t: every argument is
+        # a batch, none may be passed through whole as if it were t.
+        xs, zs = np.array([[1.0], [2.0]]), np.array([[0.5], [-0.5]])
+        prob = _toy_problem(horizon=FiniteHorizon(1.0, lambda x: float(x[0]) ** 2))
+        assert np.array_equal(prob.terminal(xs), [1.0, 4.0])
+        horizon = DiscountedInfinite(1.0, lambda x, z: float(x[0]) * float(z[0]))
+        prob = _toy_problem(horizon=horizon, running_cost=None)
+        assert np.array_equal(prob.cost_rate(0.0, xs, zs), [0.5, -1.0])
+
+    def test_failed_row_fallback_chains_the_vectorized_error(self):
+        def drift(t, x):
+            if np.ndim(x) == 2:
+                raise KeyError("batched call")
+            raise RuntimeError("row call")
+
+        prob = _toy_problem(drift_uncontrolled=drift)
+        with pytest.raises(RuntimeError, match="row call") as excinfo:
+            prob.f0(0.0, np.array([[1.0], [3.0]]))
+        assert isinstance(excinfo.value.__cause__, KeyError)
+
 
 class TestCanonicalize:
     def test_negates_costs_for_maximize(self):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hjbverify import (
     simulate,
     simulate_chunks,
 )
+from hjbverify.sde import _bridge_uniforms
 
 ZERO = ConstantPolicy(0.0)
 
@@ -225,6 +227,37 @@ class TestExitDetection:
                           diffusion=lambda t, x: 1.0)
         assert rec is not None and rec.state[0] == 0.0
         assert detect_exit(path, O, "grid_crossing", 0.01) is None
+
+    def test_bridge_exit_state_is_projected_from_the_left_endpoint(self):
+        # The bridge fires on the step 0.02 -> 0.6 (u = 0.1 < exp(-1.6)), so
+        # the path left near 0, where it was at the start of the step.
+        O = Domain.interval(0.0, 1.0)
+        rec = detect_exit(np.array([0.5, 0.02, 0.6]), O, "brownian_bridge", 0.01,
+                          rng_substream=SimpleNamespace(random=lambda n: np.array([0.9, 0.1])),
+                          diffusion=lambda t, x: 1.0)
+        assert (rec.step, rec.time, rec.state[0]) == (2, 0.02, 0.0)
+
+    @pytest.mark.parametrize("rule", ["grid_crossing", "brownian_bridge"])
+    def test_detect_exit_replays_the_simulator(self, exit_time_problem, rule):
+        # Fed the simulator's own bridge uniforms, detection on the stored
+        # paths finds every exit at the same step, time and state.
+        batch = simulate(exit_time_problem, ZERO, 0.0, 0.5,
+                         SimConfig(dt=0.02, n_paths=64, seed=9, exit_rule=rule))
+        domain = exit_time_problem.domain
+        bridge_fired = 0
+        for p in range(batch.n_paths):
+            u = _bridge_uniforms(batch.seed, 1, batch.n_steps, path_offset=p)[0]
+            rec = detect_exit(batch.states[p], domain, rule, batch.dt,
+                              rng_substream=SimpleNamespace(random=lambda n, u=u: u[:n]),
+                              t0=batch.t0, diffusion=np.ones(batch.n_steps))
+            if batch.exit_step[p] < 0:
+                assert rec is None
+                continue
+            assert rec.step == batch.exit_step[p] and rec.time == batch.exit_time[p]
+            assert np.array_equal(rec.state, batch.exit_state[p])
+            bridge_fired += bool(domain.contains(batch.states[p, rec.step]))
+        assert np.sum(batch.exited) > batch.n_paths // 2
+        assert (bridge_fired > 0) == (rule == "brownian_bridge")
 
     def test_bridge_needs_rng_and_diffusion(self):
         O = Domain.interval(0.0, 1.0)
