@@ -676,6 +676,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "benchmark":
             if args.name != "advertising":
                 raise ConfigError(f"unknown benchmark {args.name!r}; available: advertising")
+            if args.seed is not None:
+                raise ConfigError("--seed has no effect on the benchmark subcommand "
+                                  "(it has no [mc] section and draws no random numbers)")
             overrides["problem"] = {flag: str(getattr(args, flag))
                                     for flag in ("eta", "alpha", "beta", "horizon")
                                     if getattr(args, flag) is not None}

@@ -17,7 +17,10 @@ scanned with a coarse per-axis grid at ``grid_resolution`` followed by
 golden-section refinement down to an absolute control step of 1e-8.  Unbounded
 axes are bracketed by geometric doubling from the finite corner; the upturn of
 H_cv is checked, never assumed, and a missing upturn after 1000 doublings
-raises (the Hamiltonian is not finite there).
+raises (the Hamiltonian is not finite there).  The box scan runs in lockstep
+over all evaluation points: each of its steps makes one H_cv call covering
+every row still active, and every row gets bit for bit the result of a scan
+of that row alone.
 """
 
 from __future__ import annotations
@@ -183,145 +186,161 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
         first = np.argmax(all_vals <= vmin + tol, axis=0)  # first lexicographic tie
         return vmin, pts[first], "scan"
 
-    values = np.empty(P)
-    argmins = np.empty((P, k))
-    for i in range(P):
-        values[i], argmins[i] = _scan_box(prob, t, xs[i], ps[i])
-    return values, argmins, "scan"
+    return (*_scan_box(prob, t, xs, ps), "scan")
 
 
-def _scan_box(prob: ControlProblem, t: float, x_row: np.ndarray, p_row: np.ndarray):
-    """Coarse grid + golden-section refinement over a (possibly unbounded) box."""
-    U = prob.control_set
-    k = U.dimension
-    res = U.grid_resolution
+def _h_or_inf(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs: np.ndarray):
+    """:func:`_h_cv` with +inf at the rows whose coefficients fail (overflow far out).
 
-    def h_many(zs: np.ndarray) -> np.ndarray:
-        P = zs.shape[0]
-        xb = np.broadcast_to(x_row, (P, x_row.shape[0]))
-        pb = np.broadcast_to(p_row, (P, p_row.shape[0]))
-        return _h_cv(prob, t, xb, pb, zs)
-
-    def h_one(z: np.ndarray) -> float:
-        return float(h_many(z.reshape(1, k))[0])
-
-    lo = U.lower.copy()
-    hi = U.upper.copy()
-    base = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    for j in range(k):
-        if not np.isfinite(hi[j]):
-            hi[j] = _bracket(h_one, base, j, start=base[j], direction=+1.0)
-        if not np.isfinite(lo[j]):
-            lo[j] = _bracket(h_one, base, j, start=base[j], direction=-1.0)
-
-    axes = [np.linspace(lo[j], hi[j], res) for j in range(k)]
-    if k == 1:
-        grid = axes[0].reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=1)
+    A batch that raises :class:`CoefficientError` is split in halves until
+    the failing rows stand alone, so every other row keeps its value.
+    """
     try:
-        vals = h_many(grid)
+        return _h_cv(prob, t, xs, ps, zs)
     except CoefficientError:
-        # A bracketed box can reach overflow territory; degrade gracefully to
-        # per-point probes with +inf at the offending controls.
-        vals = np.empty(grid.shape[0])
-        for i in range(grid.shape[0]):
-            try:
-                vals[i] = h_one(grid[i])
-            except CoefficientError:
-                vals[i] = math.inf
-        if not np.any(np.isfinite(vals)):
-            raise
-    vmin = np.nanmin(vals)
-    tol = 1e-12 * (1.0 + abs(vmin))
-    best = int(np.argmax(vals <= vmin + tol))  # first in lexicographic grid order
-    z = grid[best].copy()
+        if zs.shape[0] == 1:
+            return np.array([math.inf])
+        h = zs.shape[0] // 2
+        return np.concatenate([_h_or_inf(prob, t, xs[:h], ps[:h], zs[:h]),
+                               _h_or_inf(prob, t, xs[h:], ps[h:], zs[h:])])
+
+
+def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
+    """Coarse grid + golden-section refinement over a (possibly unbounded) box.
+
+    All rows step in lockstep: each step makes one H_cv call covering every
+    row still active, and each row follows exactly the arithmetic of a scan
+    run on that row alone.
+    """
+    U = prob.control_set
+    P, k, res = xs.shape[0], U.dimension, U.grid_resolution
+    if P == 0:
+        return np.empty(0), np.empty((0, k))
+    lo, hi = np.tile(U.lower, (P, 1)), np.tile(U.upper, (P, 1))
+    base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
+    for j in range(k):
+        for bound, direction in ((hi, +1.0), (lo, -1.0)):
+            if not np.isfinite(bound[0, j]):
+                bound[:, j] = _bracket(prob, t, xs, ps, base, j, direction)
+
+    # Row i's grid is the lexicographic (meshgrid "ij") product of its axes.
+    m = res ** k
+    idx = np.indices((res,) * k).reshape(k, m)
+    grid = np.stack([np.linspace(lo[:, j], hi[:, j], res, axis=1)[:, idx[j]] for j in range(k)], axis=-1)
+    xg, pg = np.repeat(xs, m, axis=0), np.repeat(ps, m, axis=0)
+    vals = _h_or_inf(prob, t, xg, pg, grid.reshape(P * m, k)).reshape(P, m)
+    dead = ~np.isfinite(vals).any(axis=1)
+    if dead.any():  # a row whose every grid point failed has no minimum: raise its error
+        rep = np.repeat(dead, m)
+        _h_cv(prob, t, xg[rep], pg[rep], grid[dead].reshape(-1, k))
+    vmin = np.nanmin(vals, axis=1, keepdims=True)
+    best = np.argmax(vals <= vmin + 1e-12 * (1.0 + np.abs(vmin)), axis=1)  # first in grid order
+    z = grid[np.arange(P), best]
     cell = (hi - lo) / (res - 1)
 
-    # Coordinate-wise golden-section refinement around the best cell.
+    # Coordinate-wise golden-section refinement around the best cell, until a
+    # row's round moves no coordinate by more than the control step.
+    rows = np.arange(P)
     for _ in range(100):
-        moved = 0.0
+        moved = np.zeros(rows.size)
         for j in range(k):
-            a = max(lo[j], z[j] - cell[j])
-            b = min(hi[j], z[j] + cell[j])
-            zj = _golden(lambda v: h_one(_with(z, j, v)), a, b)
-            moved = max(moved, abs(zj - z[j]))
-            z[j] = zj
-        cell = np.maximum(cell / 4.0, _GOLDEN_STEP)
-        if moved <= _GOLDEN_STEP:
+            zr = z[rows]
+            a = np.maximum(lo[rows, j], zr[:, j] - cell[rows, j])
+            b = np.minimum(hi[rows, j], zr[:, j] + cell[rows, j])
+            zj = _golden(prob, t, xs[rows], ps[rows], zr, j, a, b)
+            moved = np.fmax(moved, np.abs(zj - zr[:, j]))
+            z[rows, j] = zj
+        cell[rows] = np.maximum(cell[rows] / 4.0, _GOLDEN_STEP)
+        rows = rows[moved > _GOLDEN_STEP]
+        if rows.size == 0:
             break
-    return h_one(z), z
+    return _h_cv(prob, t, xs, ps, z), z
 
 
-def _with(z: np.ndarray, j: int, v: float) -> np.ndarray:
-    out = z.copy()
-    out[j] = v
-    return out
-
-
-def _bracket(h_one: Callable, base: np.ndarray, axis: int, start: float, direction: float) -> float:
+def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
+             base: np.ndarray, axis: int, direction: float) -> np.ndarray:
     """Geometric doubling along one unbounded axis until H_cv turns upward.
 
-    Requires _UPTURN_RUN consecutive increases; raises if the scan never turns
-    (H0 = -inf there, i.e. the Hamiltonian is not finite).
+    The doubling sequence from ``base`` is shared by all rows; each row stops
+    at its own _UPTURN_RUN-th consecutive non-decrease, and the (P,) stops are
+    returned.  Raises, naming the first row that never turns, after
+    _MAX_DOUBLINGS (H0 = -inf there, i.e. the Hamiltonian is not finite).
     """
-    def probe(value: float) -> float:
-        try:
-            return h_one(_with(base, axis, value))
-        except CoefficientError:
-            return math.inf  # overflow far out counts as an upturn
-
-    prev = probe(start)
+    start, rows = base[axis], np.arange(xs.shape[0])
+    stops, z = np.empty(rows.size), np.tile(base, (rows.size, 1))
+    prev = _h_or_inf(prob, t, xs, ps, z)
+    increases = np.zeros(rows.size, dtype=int)
     step = 1.0
-    increases = 0
-    value = start
     for _ in range(_MAX_DOUBLINGS):
         value = start + direction * step
-        cur = probe(value)
+        z[:, axis] = value
+        cur = _h_or_inf(prob, t, xs[rows], ps[rows], z[:rows.size])
         # Non-decrease counts toward the upturn: a flat H_cv (no control
         # dependence along this axis) attains its infimum anywhere, so any
         # finite bracket is valid; only a strict decrease resets the run.
-        if cur >= prev - 1e-14 * (1.0 + abs(prev)):
-            increases += 1
-        else:
-            increases = 0
-        if increases >= _UPTURN_RUN:
-            return value
-        prev = cur
+        # Overflow far out (+inf, also after +inf) counts as an upturn.
+        with np.errstate(invalid="ignore"):  # inf - inf after an overflow
+            up = (cur == math.inf) | (cur >= prev - 1e-14 * (1.0 + np.abs(prev)))
+        increases = np.where(up, increases + 1, 0)
+        done = increases >= _UPTURN_RUN
+        stops[rows[done]] = value
+        rows, prev, increases = rows[~done], cur[~done], increases[~done]
+        if rows.size == 0:
+            return stops
         step *= 2.0
+    i = rows[0]
     raise ValueError(
-        "Hamiltonian is not finite: H_cv never turned upward along the "
-        f"unbounded control axis {axis} ({_MAX_DOUBLINGS} doublings from {start}, "
-        f"direction {direction:+.0f})"
+        f"Hamiltonian is not finite at t={t}, x={xs[i]}, p={ps[i]}: H_cv never "
+        f"turned upward along the unbounded control axis {axis} ({_MAX_DOUBLINGS} "
+        f"doublings from {start}, direction {direction:+.0f})"
     )
 
 
-def _golden(fn: Callable[[float], float], a: float, b: float, tol: float = _GOLDEN_STEP) -> float:
-    """Golden-section minimum of ``fn`` on [a, b] to absolute width ``tol``.
+def _golden(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,
+            axis: int, a: np.ndarray, b: np.ndarray, tol: float = _GOLDEN_STEP) -> np.ndarray:
+    """Golden-section minimum along ``axis`` of every row, to absolute width ``tol``.
 
-    The original endpoints compete with the interior estimate, so a minimum
+    Row i searches [a[i], b[i]] with its other coordinates fixed at z[i]; the
+    rows step in lockstep, each until its own bracket is narrow enough or
+    stops shrinking (where the spacing of floats near z exceeds ``tol``).  The
+    original endpoints compete with the interior estimate, so a minimum
     attained exactly on the boundary (an active box constraint) is returned
     exactly rather than displaced by half the final bracket width.
     """
-    a0, b0 = a, b
-    if b - a > tol:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = fn(x1), fn(x2)
-        while b - a > tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = fn(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = fn(x2)
-    candidates = (0.5 * (a + b), a0, b0)
-    values = [fn(c) for c in candidates]
-    return candidates[int(np.argmin(values))]
+    def fn(xl, pl, zl, v):
+        if v.size == 0:  # no live row: call no coefficient on an empty batch
+            return v
+        zs = zl.copy()
+        zs[:, axis] = v
+        return _h_cv(prob, t, xl, pl, zs)
+
+    a0, b0, a, b = a, b, a.copy(), b.copy()
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    # The loop works on the live rows only, compacted whenever one finishes;
+    # a row's final bracket is written back to a, b as it leaves.
+    rows = np.flatnonzero(b - a > tol)
+    lo, hi, xl, pl, zl = a[rows], b[rows], xs[rows], ps[rows], z[rows]
+    width = hi - lo
+    x1, x2 = hi - invphi * width, lo + invphi * width
+    f1, f2 = fn(xl, pl, zl, x1), fn(xl, pl, zl, x2)
+    while rows.size:
+        left = f1 <= f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        w = hi - lo
+        new = np.where(left, hi - invphi * w, lo + invphi * w)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        fnew = fn(xl, pl, zl, new)
+        f1, f2 = np.where(left, fnew, f2), np.where(left, f1, fnew)
+        keep = (w > tol) & (w < width)  # far out, ulp(z) > tol stalls the bracket
+        width = w
+        if not keep.all():
+            a[rows], b[rows] = lo, hi
+            rows, lo, hi, x1, x2, f1, f2, width, xl, pl, zl = (
+                v[keep] for v in (rows, lo, hi, x1, x2, f1, f2, width, xl, pl, zl))
+    candidates = np.stack([0.5 * (a + b), a0, b0])
+    values = fn(np.tile(xs, (3, 1)), np.tile(ps, (3, 1)), np.tile(z, (3, 1)),
+                candidates.ravel()).reshape(3, -1)
+    return candidates[np.argmin(values, axis=0), np.arange(a.size)]
 
 
 def _clamped_gap(raw: np.ndarray, h0: np.ndarray) -> np.ndarray:

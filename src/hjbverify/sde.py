@@ -456,8 +456,12 @@ def detect_exit(
     probability exp(-2 d_i d_{i+1} / (σ² dt)) (distances to the nearer
     boundary; σ² = B Bᵀ at the step's left endpoint, supplied via
     ``diffusion`` as a callable (t, x) -> σ² or a per-step array).  The bridge
-    consumes exactly one uniform from ``rng_substream`` per step, aligned with
-    the simulator's consumption.  The rule is the simulator's own.
+    draws its uniforms as ``rng_substream.random(n_steps)``, one per step, and
+    the rule is the simulator's own.  A ``np.random.Generator`` gives decisions
+    statistically equivalent to the simulator's, not the same ones: the
+    simulator draws path p's uniforms from its own Philox stream,
+    ``_bridge_uniforms(seed, 1, n_steps, path_offset=p)[0]``, so a pathwise
+    replay needs an object whose ``random(n_steps)`` returns those.
     """
     x = np.asarray(states_path, dtype=float)
     if x.ndim == 1:

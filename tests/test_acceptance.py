@@ -8,6 +8,7 @@ a deterministic CLI — at the tolerances the toolkit promises.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -305,3 +306,30 @@ def test_a10_discounted_truncation_tail_accounting():
     doubled = discounted_verify(prob, solution, ZERO, 0.0, 40.0, cfg)
     assert doubled.passed
     assert abs(doubled.identity_defect - report.identity_defect) <= 1e-12
+
+
+def test_a11_scan_only_hamiltonian_reproduces_closed_form_results(
+    adv_params, adv_problem, adv_solution
+):
+    """Advertising with its closed-form Hamiltonian removed: the box scan
+    solves the HJB to the closed-form solve's values and certifies both
+    policies exactly as the closed form does."""
+    scan_problem = dataclasses.replace(adv_problem, closed_form_hamiltonian=None)
+    boundary = lambda t, x: advertising_value(adv_params, t, x)  # noqa: E731
+    grid = Grid1D(0.1, 5.0, 41, 40, t_final=1.0)
+    want = solve_parabolic(adv_problem, grid, boundary=boundary).values
+    got = solve_parabolic(scan_problem, grid, boundary=boundary).values
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    cfg = SimConfig(dt=0.02, n_paths=1000, seed=11)
+    scan = {}
+    for name, policy in (("feedback", _feedback_policy(adv_params)), ("zero", ZERO)):
+        closed = certify(adv_problem, adv_solution, policy, 0.0, 2.0, cfg)
+        scan[name] = certify(scan_problem, adv_solution, policy, 0.0, 2.0, cfg)
+        assert scan[name].verdict == closed.verdict
+        for field in ("cost", "gap_integral"):
+            a, b = getattr(closed.evidence, field), getattr(scan[name].evidence, field)
+            assert abs(a.mean - b.mean) <= 3.0 * max(a.std_error, b.std_error)
+    assert scan["feedback"].verdict == VERDICT_OPTIMAL
+    assert scan["feedback"].optimality_margin == 0.0
+    assert scan["zero"].verdict == VERDICT_SUBOPTIMAL

@@ -651,6 +651,14 @@ class TestBenchmarkCommand:
         (record,) = _json_of(out, "failures.json")
         assert "unknown benchmark" in record["message"]
 
+    def test_seed_flag_rejected_exit_2(self, tmp_path):
+        # The benchmark draws no random numbers; a seed it would ignore is an error.
+        out = tmp_path / "out"
+        assert cli.main(["benchmark", "advertising", "--seed", "5", "--out", str(out)]) == 2
+        (record,) = _json_of(out, "failures.json")
+        assert "--seed has no effect on the benchmark" in record["message"]
+        assert not (out / "benchmark.json").exists()
+
 
 SUBCOMMANDS = ("solve", "simulate", "verify", "benchmark")
 
