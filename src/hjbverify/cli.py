@@ -638,8 +638,8 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override [mc] seed from the config")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are seed-deterministic and "
-                             "do not depend on it")
+                        help="accepted but has no effect yet (runs use one "
+                             "thread); results will not depend on it")
     parser = argparse.ArgumentParser(
         prog="hjbverify",
         description="Solve HJB equations, simulate controlled diffusions, and "

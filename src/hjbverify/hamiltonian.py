@@ -278,9 +278,12 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
         # Non-decrease counts toward the upturn: a flat H_cv (no control
         # dependence along this axis) attains its infimum anywhere, so any
         # finite bracket is valid; only a strict decrease resets the run.
-        # Overflow far out (+inf, also after +inf) counts as an upturn.
+        # Overflow far out (+inf, also after +inf) extends a run that began
+        # with a finite non-decrease, but cannot start one: +inf also stands
+        # for an evaluation that broke down (0·inf), which is no upturn.
         with np.errstate(invalid="ignore"):  # inf - inf after an overflow
-            up = (cur == math.inf) | (cur >= prev - 1e-14 * (1.0 + np.abs(prev)))
+            rise = np.isfinite(cur) & (cur >= prev - 1e-14 * (1.0 + np.abs(prev)))
+        up = rise | ((cur == math.inf) & (increases > 0))
         increases = np.where(up, increases + 1, 0)
         done = increases >= _UPTURN_RUN
         stops[rows[done]] = value

@@ -370,7 +370,7 @@ class ControlProblem:
 
 
 def _require_finite(values: np.ndarray, label: str, t, x, z=None):
-    if np.all(np.isfinite(values)):
+    if np.isfinite(values).all():  # the method skips np.all's Python-level wrapper
         return
     bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
     idx = int(bad[0][0]) if bad.size else 0

@@ -12,21 +12,28 @@ simulating any partition of them.  The Brownian-bridge exit rule draws its
 own per-(path, step) uniforms from a separate substream (one uniform per step,
 consumed whether or not the step needs it) to keep the two streams aligned.
 
+These stream positions are fixed; how they are drawn is not part of the
+contract.  The step loop draws noise in blocks of steps, only for the paths
+still live at the block's start: a path that has exited or diverged draws
+nothing more, and positions it never reaches are simply never computed.
+
 Paths halt at their exit step: states are frozen afterwards, and the stored
 state *at* the exit step is the raw Euler point (so the update recurrence can
-be replayed exactly up to and including the exit step).
+be replayed exactly up to and including the exit step).  There is one step
+loop: :func:`simulate` runs it storing the path tensors; verification runs it
+through :func:`simulate_chunks` with a per-step integrand, storing nothing.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import as_point_batch
+from ._util import as_point_batch, log_row_fallback
 from .problem import ControlProblem, DiscountedInfinite, Domain, FiniteHorizon
 
 __all__ = [
@@ -54,27 +61,57 @@ _BRIDGE_TAG = 1 << 63  # high bit of the second key word marks the bridge substr
 # ---------------------------------------------------------------------------
 
 
-def _path_uniforms(seed: int, path: int, count: int, tag: int = 0) -> np.ndarray:
-    """53-bit uniforms in (0, 1) from the Philox stream keyed (seed, path)."""
-    key = np.array([seed & _MASK64, (path + tag) & _MASK64], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _stream_uniforms(seed: int, n_paths: int, path_offset: int, rows, start: int,
+                     count: int, tag: int = 0) -> np.ndarray:
+    """53-bit uniforms in (0, 1), (n_paths, count): positions [start, start+count)
+    of the Philox streams keyed (seed, path + tag) of the global paths
+    ``path_offset + rows`` (``rows`` defaults to 0 … n_paths-1).
+
+    Philox4x64 turns one counter value into four outputs, so position ``start``
+    is reached by setting the counter to ``start // 4`` (the generator
+    increments it before its first block); a single generator is re-keyed for
+    every path instead of building one per path.
+    """
+    rows = np.arange(n_paths) if rows is None else np.asarray(rows)
+    if rows.shape != (n_paths,):
+        raise ValueError(f"rows has shape {rows.shape}, expected ({n_paths},)")
+    gen = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    skip = start % 4
+    raw = np.empty((n_paths, count), dtype=np.uint64)
+    for j, row in enumerate(rows):
+        state["state"] = {"counter": [start // 4, 0, 0, 0],
+                          "key": [seed & _MASK64, (path_offset + int(row) + tag) & _MASK64]}
+        gen.state = state
+        raw[j] = gen.random_raw(skip + count)[skip:]
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def gaussian_increments(seed: int, n_paths: int, n_steps: int, m: int, dt: float,
-                        path_offset: int = 0) -> np.ndarray:
-    """Brownian increments ΔW of shape (n_paths, n_steps, m), via inverse CDF."""
-    u = np.empty((n_paths, n_steps * m))
-    for p in range(n_paths):
-        u[p] = _path_uniforms(seed, path_offset + p, n_steps * m)
-    return ndtri(u).reshape(n_paths, n_steps, m) * np.sqrt(dt)
+                        path_offset: int = 0, rows=None, first_step: int = 0) -> np.ndarray:
+    """Brownian increments ΔW of shape (n_paths, n_steps, m), via inverse CDF.
+
+    Row j is global path ``path_offset + j``, or ``path_offset + rows[j]``
+    when ``rows`` is given; the steps are [first_step, first_step + n_steps)
+    of each path's stream, so any block of paths and steps equals the
+    matching slice of the full draw.
+    """
+    u = _stream_uniforms(seed, n_paths, path_offset, rows, first_step * m, n_steps * m)
+    dw = ndtri(u, out=u).reshape(n_paths, n_steps, m)
+    dw *= np.sqrt(dt)
+    return dw
 
 
-def _bridge_uniforms(seed: int, n_paths: int, n_steps: int, path_offset: int = 0) -> np.ndarray:
-    u = np.empty((n_paths, n_steps))
-    for p in range(n_paths):
-        u[p] = _path_uniforms(seed, path_offset + p, n_steps, tag=_BRIDGE_TAG)
-    return u
+def _bridge_uniforms(seed: int, n_paths: int, n_steps: int, path_offset: int = 0,
+                     rows=None, first_step: int = 0) -> np.ndarray:
+    """The bridge rule's uniforms, (n_paths, n_steps); rows and steps as in
+    :func:`gaussian_increments`."""
+    return _stream_uniforms(seed, n_paths, path_offset, rows, first_step, n_steps,
+                            tag=_BRIDGE_TAG)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +191,9 @@ class FeedbackPolicy:
         P = x.shape[0]
         try:
             out = np.asarray(self.map(t, x), dtype=float)
-        except Exception:
+        except Exception as exc:
             out = None
+            log_row_fallback("policy", f"raised {type(exc).__name__}: {exc}")
         if out is not None:
             if out.shape == (P, k):
                 return out
@@ -163,6 +201,7 @@ class FeedbackPolicy:
                 return out.reshape(P, 1)
             if out.size == 1:
                 return np.broadcast_to(out.reshape(()), (P, k)).copy()
+            log_row_fallback("policy", f"returned shape {out.shape}, expected {(P, k)}")
         rows = np.empty((P, k))
         for i in range(P):
             rows[i] = np.atleast_1d(np.asarray(self.map(t, x[i]), dtype=float))
@@ -196,31 +235,39 @@ class PathBatch:
     """A batch of simulated paths on a shared uniform time grid.
 
     ``exit_step[p] == -1`` means path p never exited (likewise
-    ``diverged_step``); ``states`` are frozen from the exit/divergence step
-    onward.  ``path_offset`` is the global index of the first path (chunked
+    ``diverged_step``); a path's state is frozen from its exit/divergence step
+    onward, and ``end_state`` holds every path's state at the last time.
+    ``path_offset`` is the global index of the first path (chunked
     simulations of the same seed tile the same global stream).
+
+    The path tensors ``states``, ``controls`` and ``brownian_increments``
+    exist only in batches from :func:`simulate` (or :func:`simulate_chunks`
+    without an integrand); a streamed batch has them as ``None`` and carries
+    its chunk's ``integrand`` instead.
     """
 
-    times: np.ndarray                 # (n_steps+1,)
-    states: np.ndarray                # (P, n_steps+1, n)
-    controls: np.ndarray              # (P, n_steps, k)
-    brownian_increments: np.ndarray   # (P, n_steps, m)
-    exit_step: np.ndarray             # (P,) int
-    exit_time: np.ndarray             # (P,)
-    exit_state: np.ndarray            # (P, n)
-    diverged_step: np.ndarray         # (P,) int
+    times: np.ndarray                         # (n_steps+1,)
+    states: np.ndarray | None                 # (P, n_steps+1, n)
+    controls: np.ndarray | None               # (P, n_steps, k)
+    brownian_increments: np.ndarray | None    # (P, n_steps, m)
+    exit_step: np.ndarray                     # (P,) int
+    exit_time: np.ndarray                     # (P,)
+    exit_state: np.ndarray                    # (P, n)
+    diverged_step: np.ndarray                 # (P,) int
+    end_state: np.ndarray                     # (P, n)
     seed: int
     dt: float
     t0: float
     path_offset: int = 0
+    integrand: object = None
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.exit_step.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.states.shape[1] - 1
+        return self.times.shape[0] - 1
 
     @property
     def exited(self) -> np.ndarray:
@@ -279,9 +326,60 @@ def simulate(
     ``until`` overrides the end time (required for discounted problems, where
     it is the truncation time).  ``path_range=(lo, hi)`` simulates only the
     global path indices [lo, hi) — used for chunking; results for a given
-    global index are identical no matter how the range is split.
+    global index are identical no matter how the range is split.  The batch
+    stores the path tensors, so its memory is O(paths × steps).
+    """
+    return _euler(problem, _as_policy(policy), t0, x0, config, until, path_range, None)
+
+
+def simulate_chunks(
+    problem: ControlProblem,
+    policy,
+    t0: float,
+    x0,
+    config: SimConfig,
+    until: float | None = None,
+    chunk_size: int = 4096,
+    integrand=None,
+) -> Iterator[PathBatch]:
+    """Yield PathBatches covering path indices [0, n_paths) in chunks.
+
+    Bit-identical to one monolithic :func:`simulate` call (per-path keyed
+    streams).  Without ``integrand`` every batch stores its path tensors.
+    With it, nothing is stored and memory is O(chunk): at the start of each
+    chunk ``integrand(n_paths, times, dt)`` is called, and the step callable
+    it returns is invoked on every Euler step as
+    ``step(i, t, rows, x, z, f1)`` — the chunk-local indices of the paths
+    live at ``t = times[i]``, their states, their (admissible) controls and
+    ``problem.f1(t, x, z)`` — before those rows advance.  The step callable
+    is returned as the batch's ``integrand``.
     """
     policy = _as_policy(policy)
+    lo = 0
+    while lo < config.n_paths:
+        hi = min(lo + chunk_size, config.n_paths)
+        yield _euler(problem, policy, t0, x0, config, until, (lo, hi), integrand)
+        lo = hi
+
+
+# Noise is drawn in blocks of steps for the paths live at the block's start.
+# The first block has _FIRST_BLOCK steps and each later one twice as many, up
+# to _BLOCK_DRAWS draws per block: a path that exits early leaves few unused
+# draws, and a long-lived one re-keys its stream rarely.  Block lengths are
+# multiples of 4, so every block starts on a Philox counter boundary.
+_FIRST_BLOCK = 16
+_BLOCK_DRAWS = 1 << 19
+
+
+def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
+           until: float | None, path_range: tuple[int, int] | None, integrand) -> PathBatch:
+    """The Euler-Maruyama step loop; stores the path tensors iff ``integrand`` is None.
+
+    Only live rows (not exited, not diverged) advance, call the coefficients
+    and consume noise; the loop stops once none is live.  When storing, the
+    policy is still evaluated on every row, so the stored controls of a dead
+    path are those at its frozen state.
+    """
     if isinstance(problem.horizon, FiniteHorizon):
         end = float(until) if until is not None else problem.horizon.terminal_time
     else:
@@ -313,100 +411,122 @@ def simulate(
             raise ValueError(f"initial state {x_start[0]} is not inside the domain")
         if config.exit_rule == "brownian_bridge" and n != 1:
             raise ValueError("the brownian_bridge exit rule is only defined for 1-d domains")
+    bridge = domain is not None and config.exit_rule == "brownian_bridge"
 
-    dW = gaussian_increments(config.seed, P, n_steps, m, dt, path_offset=lo)
-    bridge_u = None
-    if domain is not None and config.exit_rule == "brownian_bridge":
-        bridge_u = _bridge_uniforms(config.seed, P, n_steps, path_offset=lo)
-
+    store = integrand is None
     times = t0 + dt * np.arange(n_steps + 1)
-    states = np.empty((P, n_steps + 1, n))
-    controls = np.empty((P, n_steps, k))
-    states[:, 0] = x_start[0]
+    x = np.repeat(x_start, P, axis=0)  # a live row's entry is written back when it stops
+    states = controls = dW_all = step = None
+    if store:
+        states = np.empty((P, n_steps + 1, n))
+        controls = np.empty((P, n_steps, k))
+        dW_all = np.empty((P, n_steps, m))
+        states[:, 0] = x_start[0]
+    else:
+        step = integrand(P, times, dt)
     exit_step = np.full(P, -1, dtype=np.int64)
     exit_time = np.full(P, np.nan)
     exit_state = np.full((P, n), np.nan)
     diverged_step = np.full(P, -1, dtype=np.int64)
-    active = np.ones(P, dtype=bool)
-    n_projected = 0
+    # The live rows, compacted whenever a path exits or diverges: chunk-local
+    # indices, states, signed distances and rows in the current noise block.
+    live, xl = np.arange(P), x.copy()
+    sdl = domain.signed_distance(xl) if domain is not None else None
+    n_projected = n_evaluated = 0
+    block_start = block_end = 0
+    block_len = _FIRST_BLOCK
 
-    sd_prev = domain.signed_distance(states[:, 0]) if domain is not None else None
     for i in range(n_steps):
+        if live.size == 0 and not store:
+            break
+        if i == block_end:
+            drawn = np.arange(P) if store else live
+            cap = max(4, _BLOCK_DRAWS // (drawn.size * m) // 4 * 4)
+            block_start, size = i, min(block_len, cap, n_steps - i)
+            block_end, block_len = i + size, 2 * block_len
+            dW = gaussian_increments(config.seed, drawn.size, size, m, dt,
+                                     path_offset=lo, rows=drawn, first_step=i)
+            if bridge:
+                bridge_u = _bridge_uniforms(config.seed, drawn.size, size,
+                                            path_offset=lo, rows=drawn, first_step=i)
+            if store:
+                dW_all[:, i:block_end] = dW
+            slot = live.copy() if store else np.arange(live.size)
+        j = i - block_start
+        # While every drawn row is live, a column view replaces the gather.
+        rows = slice(None) if slot.size == dW.shape[0] else slot
         t = float(times[i])
-        x = states[:, i]
-        z = np.asarray(policy.controls_at(t, x, k), dtype=float)
+
+        z = np.asarray(policy.controls_at(t, x if store else xl, k), dtype=float)
         ok = problem.control_set.contains(z)
-        if not np.all(ok):
-            n_projected += int(np.sum(~ok))
+        if not ok.all():
             z = np.where(ok[:, None], z, np.asarray(problem.control_set.project(z)))
-        controls[:, i] = z
+        if store:
+            controls[:, i] = z
+            ok, z = ok[live], z[live]
+        n_projected += live.size - int(np.count_nonzero(ok))
+        n_evaluated += live.size
 
-        drift = problem.f0(t, x) + problem.f1(t, x, z)
-        diff = problem.diff(t, x)
-        # Overflow here is not an error: non-finite states are flagged below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_next = x + drift * dt + np.einsum("pnm,pm->pn", diff, dW[:, i])
-        x_next = np.where(active[:, None], x_next, x)
+        if live.size:
+            f0 = problem.f0(t, xl)
+            f1 = problem.f1(t, xl, z)
+            drift = f0 + f1
+            diff = problem.diff(t, xl)
+            if step is not None:
+                step(i, t, live, xl, z, f1)
+            # Overflow here is not an error: non-finite states are flagged below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_next = xl + drift * dt + np.einsum("pnm,pm->pn", diff, dW[rows, j])
 
-        bad = active & ~np.all(np.isfinite(x_next), axis=1)
-        if np.any(bad):
-            diverged_step[bad] = i + 1
-            active &= ~bad
-            x_next[bad] = x[bad]
+            stop = None
+            if not np.isfinite(x_next).all():
+                stop = ~np.isfinite(x_next).all(axis=1)
+                diverged_step[live[stop]] = i + 1
+                x_next[stop] = xl[stop]        # frozen at the last finite state
+            if domain is not None:
+                sd_next = domain.signed_distance(x_next)
+                sigma2 = u = None
+                if bridge:  # σ² = B Bᵀ, n = 1
+                    sigma2, u = np.einsum("pnm,pnm->p", diff, diff), bridge_u[rows, j]
+                hit, where = _step_exits(domain, xl, x_next, sdl, sd_next, dt, sigma2, u)
+                if stop is not None:
+                    hit &= ~stop
+                if hit.any():
+                    exited = live[hit]
+                    exit_step[exited] = i + 1
+                    exit_time[exited] = times[i + 1]
+                    exit_state[exited] = where[hit]
+                    stop = hit if stop is None else stop | hit
+                sdl = sd_next
+            xl = x_next
+            if stop is not None:
+                x[live[stop]] = xl[stop]
+                go = ~stop
+                live, xl, slot = live[go], xl[go], slot[go]
+                if domain is not None:
+                    sdl = sdl[go]
 
-        if domain is not None and np.any(active):
-            sd_next = domain.signed_distance(x_next)
-            live = np.flatnonzero(active)
-            sigma2 = u = None
-            if bridge_u is not None:  # σ² = B Bᵀ, n = 1
-                sigma2, u = np.einsum("pnm,pnm->p", diff[live], diff[live]), bridge_u[live, i]
-            hit, where = _step_exits(domain, x[live], x_next[live], sd_prev[live], sd_next[live],
-                                     dt, sigma2, u)
-            exited = live[hit]
-            exit_step[exited] = i + 1
-            exit_time[exited] = times[i + 1]
-            exit_state[exited] = where[hit]
-            active[exited] = False
-            sd_prev = sd_next
+        if store:
+            x[live] = xl
+            states[:, i + 1] = x
 
-        states[:, i + 1] = x_next
-
-    if np.all(diverged_step >= 0):
+    x[live] = xl
+    if (diverged_step >= 0).all():
         raise RuntimeError(
             "all paths diverged (non-finite states); the dynamics or dt are pathological"
         )
     if n_projected:
         log.warning(
-            "projected %d of %d control evaluations onto the admissible set U",
-            n_projected, P * n_steps,
+            "projected %d of %d control evaluations on live paths onto the admissible set U",
+            n_projected, n_evaluated,
         )
 
     return PathBatch(
-        times=times, states=states, controls=controls, brownian_increments=dW,
+        times=times, states=states, controls=controls, brownian_increments=dW_all,
         exit_step=exit_step, exit_time=exit_time, exit_state=exit_state,
-        diverged_step=diverged_step, seed=config.seed, dt=dt, t0=t0, path_offset=lo,
+        diverged_step=diverged_step, end_state=x, seed=config.seed, dt=dt, t0=t0,
+        path_offset=lo, integrand=step,
     )
-
-
-def simulate_chunks(
-    problem: ControlProblem,
-    policy,
-    t0: float,
-    x0,
-    config: SimConfig,
-    until: float | None = None,
-    chunk_size: int = 4096,
-) -> Iterator[PathBatch]:
-    """Yield PathBatches covering path indices [0, n_paths) in chunks.
-
-    Bit-identical to one monolithic :func:`simulate` call (per-path keyed
-    streams), with memory bounded by the chunk size.
-    """
-    lo = 0
-    while lo < config.n_paths:
-        hi = min(lo + chunk_size, config.n_paths)
-        yield simulate(problem, policy, t0, x0, config, until=until, path_range=(lo, hi))
-        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +553,9 @@ def _step_exits(domain: Domain, x_left: np.ndarray, x_right: np.ndarray,
             pcross = np.exp(-2.0 * sd_left * sd_right / (sigma2 * dt))
         fired = ~crossed & (sd_left < 0.0) & (sigma2 > 0.0) & (u < pcross)
     states = np.full(x_right.shape, np.nan)
-    if np.any(crossed):
+    if crossed.any():
         states[crossed] = domain.project_to_boundary(x_right[crossed])
-    if np.any(fired):
+    if fired.any():
         states[fired] = domain.project_to_boundary(x_left[fired])
     return crossed | fired, states
 

@@ -169,12 +169,52 @@ class _ChunkTerms:
     v_end_max: float               # max |v| over sampled end states (tail bound)
 
 
-def _quadrature_weights(batch: PathBatch, rate: float | None) -> np.ndarray:
+def _quadrature_weights(times: np.ndarray, dt: float, rate: float | None) -> np.ndarray:
     """Per-step weights: dt, or the exact integral of e^{−rate(s−t0)} per step."""
     if rate is None:
-        return np.full(batch.n_steps, batch.dt)
-    t = batch.times - batch.t0
+        return np.full(times.shape[0] - 1, dt)
+    t = times - times[0]
     return (np.exp(-rate * t[:-1]) - np.exp(-rate * t[1:])) / rate
+
+
+class _Integrand:
+    """Running cost and gap integrals of one chunk, advanced on each Euler step.
+
+    The step loop calls it with the live rows only, before they move
+    (left-endpoint quadrature, exact discount weights per step), so both
+    integrals stop at the exit step (τ ∧ T).  H_cv reuses the step's f1.
+    Rows of paths that diverge later are accumulated too and dropped by
+    :func:`_chunk_terms`; violations are counted per path for that reason.
+    """
+
+    def __init__(self, prob_min: ControlProblem, source, flip: float, weights: np.ndarray,
+                 bounds: tuple[float, float] | None, point_tol: float, n_paths: int):
+        self.prob, self.source, self.flip, self.w = prob_min, source, flip, weights
+        self.bounds, self.point_tol = bounds, point_tol
+        self.cost = np.zeros(n_paths)
+        self.gap = self.violations = self.escaped = None
+        if source is not None:
+            self.gap = np.zeros(n_paths)
+            self.violations = np.zeros(n_paths, dtype=np.int64)
+            if bounds is not None:
+                self.escaped = np.zeros(n_paths, dtype=bool)
+
+    def __call__(self, i: int, t: float, rows: np.ndarray, x: np.ndarray, z: np.ndarray,
+                 f1: np.ndarray) -> None:
+        if rows.size == self.cost.size:
+            rows = slice(None)  # every path live: update in place, skip the gather/scatter
+        ell = self.prob.cost_rate(t, x, z)
+        self.cost[rows] += self.w[i] * ell
+        if self.source is None:
+            return
+        if self.escaped is not None:
+            self.escaped[rows] |= (x[:, 0] < self.bounds[0]) | (x[:, 0] > self.bounds[1])
+        p = self.flip * np.asarray(self.source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        hcv = np.einsum("pn,pn->p", f1, p) + ell
+        h0, _, _ = _minimize_batch(self.prob, t, x, p)
+        g = _clamped_gap(hcv - h0, h0)
+        self.gap[rows] += self.w[i] * g
+        self.violations[rows] += g > self.point_tol
 
 
 def _chunk_terms(
@@ -184,57 +224,27 @@ def _chunk_terms(
     source,
     flip: float,
     rate: float | None,
-    bounds: tuple[float, float] | None,
-    point_tol: float,
     with_tail: bool,
 ) -> _ChunkTerms:
-    """Cost and gap-integral terms for the retained rows of one chunk.
+    """Per-path terms of the retained rows of one streamed chunk.
 
-    Left-endpoint quadrature in the integrand, exact discount weights per
-    step.  Both integrals stop at the exit step (tau ∧ T); the terminal or
-    boundary payment is added for finite-horizon problems, the discounted tail
-    when ``with_tail``.
+    Takes the integrals the chunk's :class:`_Integrand` accumulated and adds
+    the terminal or boundary payment for finite-horizon problems, the
+    discounted tail when ``with_tail``.
     """
-    states = batch.states[keep]
-    controls = batch.controls[keep]
+    acc = batch.integrand
     exit_step = batch.exit_step[keep]
     exit_state = batch.exit_state[keep]
+    end_state = batch.end_state[keep]
     times = batch.times
-    K, S = states.shape[0], batch.n_steps
-    w = _quadrature_weights(batch, rate)
-    stop = np.where(exit_step >= 0, exit_step, S)
-
-    cost = np.zeros(K)
-    gap = np.zeros(K) if source is not None else None
-    escaped = np.zeros(K, dtype=bool) if (source is not None and bounds is not None) else None
-    n_points = 0
-    n_violations = 0
-
-    for i in range(S):
-        live = stop > i
-        if not live.any():
-            break
-        t = float(times[i])
-        x = states[live, i]
-        z = controls[live, i]
-        ell = prob_min.cost_rate(t, x, z)
-        cost[live] += w[i] * ell
-        if source is None:
-            continue
-        if escaped is not None:
-            out = (x[:, 0] < bounds[0]) | (x[:, 0] > bounds[1])
-            if out.any():
-                esc = np.zeros(K, dtype=bool)
-                esc[live] = out
-                escaped |= esc
-        p = flip * np.asarray(source.gradient_at(t, x), dtype=float).reshape(x.shape)
-        f1 = prob_min.f1(t, x, z)
-        hcv = np.einsum("pn,pn->p", f1, p) + ell
-        h0, _, _ = _minimize_batch(prob_min, t, x, p)
-        g = _clamped_gap(hcv - h0, h0)
-        gap[live] += w[i] * g
-        n_points += int(live.sum())
-        n_violations += int(np.sum(g > point_tol))
+    K, S = exit_step.shape[0], batch.n_steps
+    cost = acc.cost[keep]
+    gap = acc.gap[keep] if acc.gap is not None else None
+    escaped = acc.escaped[keep] if acc.escaped is not None else None
+    n_points = n_violations = 0
+    if source is not None:
+        n_points = int(np.sum(np.where(exit_step >= 0, exit_step, S)))
+        n_violations = int(np.sum(acc.violations[keep]))
 
     tail = None
     v_end_max = 0.0
@@ -247,10 +257,10 @@ def _chunk_terms(
                 pay[m] = prob_min.boundary(float(times[e]), exit_state[m])
             cost[exited] += pay[exited]
         if (~exited).any():
-            cost[~exited] += prob_min.terminal(states[~exited, S])
+            cost[~exited] += prob_min.terminal(end_state[~exited])
     elif with_tail:
         t_end = float(times[-1])
-        v_end = flip * np.asarray(source.value_at(t_end, states[:, S]), dtype=float).reshape(K)
+        v_end = flip * np.asarray(source.value_at(t_end, end_state), dtype=float).reshape(K)
         if not np.all(np.isfinite(v_end)):
             raise ValueError(
                 "the candidate value function is non-finite at sampled end "
@@ -309,16 +319,20 @@ def estimate_cost(
     flip = -1.0 if problem.sense == "maximize" else 1.0
     rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
 
+    def integrand(n_paths, times, dt):
+        return _Integrand(prob, None, flip, _quadrature_weights(times, dt, rate), None, 0.0,
+                          n_paths)
+
     costs: list[np.ndarray] = []
     discarded = 0
     total = 0
-    for batch in simulate_chunks(problem, policy, t0, x0, sim_config,
-                                 until=until, chunk_size=chunk_size):
+    for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
+                                 chunk_size=chunk_size, integrand=integrand):
         keep = batch.diverged_step < 0
         total += batch.n_paths
         discarded += int(np.sum(~keep))
         terms = _chunk_terms(prob, batch, keep, source=None, flip=flip, rate=rate,
-                             bounds=None, point_tol=0.0, with_tail=False)
+                             with_tail=False)
         costs.append(terms.cost)
     _check_discarded(discarded, total)
     arr = np.concatenate(costs)
@@ -368,18 +382,19 @@ def _identity_run(
     n_violations = 0
     v_end_max = 0.0
     dt_eff = None
-    point_tol = 0.0
 
-    for batch in simulate_chunks(problem, policy, t0, x0, sim_config,
-                                 until=until, chunk_size=chunk_size):
-        if dt_eff is None:
-            dt_eff = batch.dt
-            point_tol = c1 * dx + c2 * math.sqrt(dt_eff)
+    def integrand(n_paths, times, dt):
+        return _Integrand(prob, source, flip, _quadrature_weights(times, dt, rate), bounds,
+                          c1 * dx + c2 * math.sqrt(dt), n_paths)
+
+    for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
+                                 chunk_size=chunk_size, integrand=integrand):
+        dt_eff = batch.dt
         keep = batch.diverged_step < 0
         total += batch.n_paths
         discarded += int(np.sum(~keep))
         terms = _chunk_terms(prob, batch, keep, source=source, flip=flip, rate=rate,
-                             bounds=bounds, point_tol=point_tol, with_tail=with_tail)
+                             with_tail=with_tail)
         costs.append(terms.cost)
         gaps.append(terms.gap)
         if terms.tail is not None:

@@ -278,3 +278,16 @@ class TestBoxScanCorpus:
         with pytest.raises(ValueError, match="not finite") as info:
             _minimize_batch(prob, _T, xs, ps)
         assert f"t={_T}, x={xs[2]}, p={ps[2]}" in str(info.value)
+
+    def test_breakdown_far_out_is_not_an_upturn(self):
+        # H_cv = -z + x z² at x = 0 decreases forever; past |z| ~ 1.3e154 the
+        # cost is 0·inf = NaN, which the scan reads as +inf.  That must not
+        # bracket the minimum (and then fail on the NaN): no finite increase
+        # preceded it, so the Hamiltonian is reported as not finite.
+        def cost(t, x, z):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return x[:, 0] * z[:, 0] ** 2
+
+        prob = _linear_drift_problem(ControlSet.box([0.0], [np.inf]), cost=cost)
+        with pytest.raises(ValueError, match="Hamiltonian is not finite"):
+            _minimize_batch(prob, _T, np.array([[0.0]]), np.array([[-1.0]]))

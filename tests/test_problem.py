@@ -1,8 +1,11 @@
 """Problem containers: control sets, domains, canonicalization, probes."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from hjbverify import _util
 from hjbverify import (
     CoefficientError,
     ControlProblem,
@@ -155,6 +158,34 @@ class TestControlProblem:
         with pytest.raises(RuntimeError, match="row call") as excinfo:
             prob.f0(0.0, np.array([[1.0], [3.0]]))
         assert isinstance(excinfo.value.__cause__, KeyError)
+
+    def test_row_fallback_is_logged_once_per_coefficient(self, monkeypatch, caplog):
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+
+        def drift(t, x):
+            if np.ndim(x) == 2:
+                raise KeyError("needs one row")
+            return -2.0 * x
+
+        prob = _toy_problem(drift_uncontrolled=drift)
+        xs = np.array([[1.0], [3.0], [-0.5]])
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            first = prob.f0(0.0, xs)
+            again = prob.f0(0.5, xs)
+        assert np.array_equal(first, -2.0 * xs) and np.array_equal(again, first)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "drift_uncontrolled" in warnings[0].message
+        assert "KeyError" in warnings[0].message and "row by row" in warnings[0].message
+
+    def test_wrong_shape_fallback_names_the_shape(self, monkeypatch, caplog):
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        prob = _toy_problem(running_cost=lambda t, x, z: z ** 2)  # (P, 1), not (P,)
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            out = prob.cost_rate(0.0, np.zeros((2, 1)), np.array([[0.5], [2.0]]))
+        assert np.array_equal(out, [0.25, 4.0])
+        (record,) = caplog.records
+        assert "running_cost" in record.message and "(2, 1)" in record.message
 
 
 class TestCanonicalize:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hjbverify import _util
 from hjbverify import (
     ConstantPolicy,
     ControlProblem,
@@ -102,6 +103,33 @@ class TestReproducibility:
                                    path_offset=3)
         assert np.array_equal(whole[3:], part)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_blocks_for_a_subset_of_paths_are_slices_of_the_full_draw(self, m):
+        full = gaussian_increments(seed=21, n_paths=12, n_steps=40, m=m, dt=0.01)
+        full_u = _bridge_uniforms(21, 12, 40)
+        rows = np.array([1, 4, 5, 9])
+        for first, size in ((0, 16), (16, 20), (8, 4), (5, 7), (36, 4)):
+            dw = gaussian_increments(seed=21, n_paths=4, n_steps=size, m=m, dt=0.01,
+                                     path_offset=2, rows=rows - 2, first_step=first)
+            assert np.array_equal(dw, full[rows, first:first + size])
+            u = _bridge_uniforms(21, 4, size, path_offset=2, rows=rows - 2, first_step=first)
+            assert np.array_equal(u, full_u[rows, first:first + size])
+
+    def test_streamed_batches_store_no_path_tensors(self, exit_time_problem):
+        cfg = SimConfig(dt=0.01, n_paths=30, seed=4, exit_rule="brownian_bridge")
+        seen = []
+        chunks = list(simulate_chunks(exit_time_problem, ZERO, 0.0, 0.5, cfg, chunk_size=16,
+                                      integrand=lambda n, times, dt: seen.append(n)))
+        full = simulate(exit_time_problem, ZERO, 0.0, 0.5, cfg)
+        assert seen == [16, 14]
+        assert all(c.states is None and c.controls is None and c.brownian_increments is None
+                   for c in chunks)
+        assert [c.n_paths for c in chunks] == [16, 14] and chunks[0].n_steps == full.n_steps
+        for name in ("exit_step", "exit_time", "exit_state", "diverged_step", "end_state"):
+            assert np.array_equal(np.concatenate([getattr(c, name) for c in chunks]),
+                                  getattr(full, name), equal_nan=True), name
+        assert np.array_equal(full.end_state, full.states[:, -1])
+
     def test_increment_moments(self):
         dw = gaussian_increments(seed=0, n_paths=200, n_steps=100, m=1, dt=0.01)
         assert abs(dw.mean()) < 3e-3  # 4 sigma for 20000 N(0, 0.01) samples
@@ -128,6 +156,24 @@ class TestEulerRecurrence:
         batch = simulate(prob, policy, 0.0, 0.0, SimConfig(dt=0.05, n_paths=2, seed=8))
         assert np.all(batch.controls[:, :10, 0] == 1.0)
         assert np.all(batch.controls[:, 10:, 0] == 2.0)
+
+
+class TestFeedbackPolicy:
+    def test_scalar_only_map_falls_back_with_one_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        def one_state(t, x):
+            if np.ndim(x) != 1:
+                raise TypeError("one state at a time")
+            return 2.0 * x[0]
+
+        policy = FeedbackPolicy(one_state)
+        xs = np.array([[1.0], [-0.5], [3.0]])
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            first = policy.controls_at(0.0, xs, 1)
+            again = policy.controls_at(0.1, xs, 1)
+        assert np.array_equal(first, 2.0 * xs) and np.array_equal(again, first)
+        (record,) = caplog.records
+        assert "policy" in record.message and "TypeError" in record.message
 
 
 class TestControlAdmissibility:

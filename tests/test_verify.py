@@ -1,6 +1,7 @@
 """Cost estimation, the fundamental identity, and optimality certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from hjbverify import (
     make_discounted_demo,
     simulate,
 )
+from hjbverify import sde
+from hjbverify.hamiltonian import _clamped_gap, _minimize_batch
+from hjbverify.problem import DiscountedInfinite, canonicalize
 
 ZERO = ConstantPolicy(0.0)
 
@@ -258,3 +262,187 @@ class TestClosedFormValue:
                                    [1.0, 4.0])
         np.testing.assert_allclose(cf.gradient_at(0.0, np.array([[3.0]])), [[6.0]])
         assert cf.provenance == "closed_form"
+
+
+# ---------------------------------------------------------------------------
+# The streamed step loop against a re-walk of stored paths
+# ---------------------------------------------------------------------------
+
+
+def _rewalk(problem, source, batch, c1=1.0, c2=1.0, with_tail=False):
+    """Per-path cost, gap integral, points, violations and tail of a stored batch.
+
+    The two-pass formula: walk the stored states and controls step by step,
+    on the retained (never diverged) paths, with the coefficients evaluated
+    afresh — nothing shared with the streamed loop but the primitives.
+    """
+    prob = canonicalize(problem)
+    flip = -1.0 if problem.sense == "maximize" else 1.0
+    rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
+    grid = getattr(source, "grid", None)
+    point_tol = c1 * (grid.dx if grid is not None else 0.0) + c2 * math.sqrt(batch.dt)
+    keep = batch.diverged_step < 0
+    states, controls = batch.states[keep], batch.controls[keep]
+    exit_step, exit_state = batch.exit_step[keep], batch.exit_state[keep]
+    K, S = states.shape[0], batch.n_steps
+    if rate is None:
+        w = np.full(S, batch.dt)
+    else:
+        s = batch.times - batch.t0
+        w = (np.exp(-rate * s[:-1]) - np.exp(-rate * s[1:])) / rate
+    stop = np.where(exit_step >= 0, exit_step, S)
+    cost, gap = np.zeros(K), np.zeros(K)
+    points = violations = 0
+    for i in range(S):
+        live = stop > i
+        t = float(batch.times[i])
+        x, z = states[live, i], controls[live, i]
+        if x.shape[0] == 0:
+            break
+        ell = prob.cost_rate(t, x, z)
+        cost[live] += w[i] * ell
+        if source is None:
+            continue
+        p = flip * np.asarray(source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        hcv = np.einsum("pn,pn->p", prob.f1(t, x, z), p) + ell
+        h0, _, _ = _minimize_batch(prob, t, x, p)
+        g = _clamped_gap(hcv - h0, h0)
+        gap[live] += w[i] * g
+        points += x.shape[0]
+        violations += int(np.sum(g > point_tol))
+    tail = None
+    if rate is None:
+        exited = exit_step >= 0
+        pay = np.zeros(K)
+        for e in np.unique(exit_step[exited]):
+            pay[exit_step == e] = prob.boundary(float(batch.times[e]), exit_state[exit_step == e])
+        cost[exited] += pay[exited]
+        if (~exited).any():
+            cost[~exited] += prob.terminal(states[~exited, S])
+    elif with_tail:
+        t_end = float(batch.times[-1])
+        v_end = flip * np.asarray(source.value_at(t_end, states[:, S]), dtype=float).reshape(K)
+        tail = math.exp(-rate * (t_end - batch.t0)) * v_end
+    return cost, gap, points, violations, tail
+
+
+def _mean_se(arr):
+    return float(np.mean(arr)), float(np.std(arr, ddof=1) / math.sqrt(arr.size))
+
+
+def _assert_report_matches(rep, problem, cost, gap, tail=None):
+    flip = -1.0 if problem.sense == "maximize" else 1.0
+    if tail is not None:
+        cost = cost + tail
+        assert rep.tail_magnitude == abs(float(np.mean(tail)))
+    mean_c, se_c = _mean_se(cost)
+    mean_g, se_g = _mean_se(gap)
+    mean_d, _ = _mean_se(cost - gap)
+    assert (rep.cost.mean, rep.cost.std_error) == (flip * mean_c, se_c)
+    assert (rep.gap_integral.mean, rep.gap_integral.std_error) == (mean_g, se_g)
+    assert rep.identity_defect == abs(mean_d - flip * rep.v_at_start)
+    assert rep.cost.n_paths == cost.size
+
+
+def _exit_field():
+    # v = x(1 - x) solves the expected-exit-time problem; sampled on a grid,
+    # so the run is field-backed (grid bounds, c1·dx in the allowance).
+    return field_from_callable(lambda t, xs: xs * (1.0 - xs), Grid1D(0.0, 1.0, 41, 30, t_final=3.0))
+
+
+def _diverging_problem():
+    """dX = z dt + dW; past x = 10 the drift jumps to ~max float, so a rare path overflows."""
+    return ControlProblem(
+        dimension=1, noise_dimension=1,
+        horizon=FiniteHorizon(10.0, lambda x: np.tanh(x[:, 0])),
+        drift_uncontrolled=lambda t, x: np.where(x > 10.0, 1.7e308, 0.0),
+        drift_controlled=lambda t, x, z: z,
+        diffusion=lambda t, x: np.ones(x.shape + (1,)),
+        running_cost=lambda t, x, z: z[:, 0] ** 2 + np.tanh(x[:, 0]),
+        control_set=ControlSet.finite([[-0.5], [0.0], [0.5]]),
+    )
+
+
+def _discounted_quadratic():
+    """Discounted, box controls (numerical H0), x-dependent cost and candidate."""
+    return ControlProblem(
+        dimension=1, noise_dimension=1,
+        horizon=DiscountedInfinite(0.7, lambda x, z: x[:, 0] ** 2 + z[:, 0] ** 2),
+        drift_uncontrolled=lambda t, x: -0.5 * x,
+        drift_controlled=lambda t, x, z: z,
+        diffusion=lambda t, x: np.full(x.shape + (1,), 0.4),
+        running_cost=None,
+        control_set=ControlSet.box([-1.0], [1.0]),
+    )
+
+
+class TestStreamedLoopMatchesRewalk:
+    """Fused estimates equal the re-walk of a stored batch, bit for bit."""
+
+    def _certify_case(self, problem, source, policy, x0, cfg):
+        cert = certify(problem, source, policy, 0.0, x0, cfg, necessity_scan=True,
+                       chunk_size=16)
+        est = estimate_cost(problem, policy, 0.0, x0, cfg, chunk_size=16)
+        batch = simulate(problem, policy, 0.0, x0, cfg)
+        cost, gap, points, violations, _ = _rewalk(problem, source, batch)
+        _assert_report_matches(cert.evidence, problem, cost, gap)
+        assert cert.necessity_fraction == violations / points
+        flip = -1.0 if problem.sense == "maximize" else 1.0
+        assert (est.mean, est.std_error) == (flip * _mean_se(cost)[0], _mean_se(cost)[1])
+        assert est.discarded_diverged == cert.evidence.cost.discarded_diverged == batch.n_diverged
+        return cert, batch
+
+    def test_advertising_feedback(self, adv_problem, adv_solution):
+        self._certify_case(adv_problem, adv_solution, _feedback_policy(adv_solution), 2.0,
+                           SimConfig(dt=0.02, n_paths=40, seed=5))
+
+    def test_maximize_sense_with_a_field_and_a_gap(self, adv_params, adv_problem):
+        field = field_from_callable(lambda t, xs: advertising_value(adv_params, t, xs),
+                                    Grid1D(0.05, 8.0, 160, 20, t_final=1.0))
+        assert adv_problem.sense == "maximize"
+        cert, _ = self._certify_case(adv_problem, field, ConstantPolicy(0.3), 2.0,
+                                     SimConfig(dt=0.02, n_paths=40, seed=6))
+        assert cert.optimality_margin > 0.0
+
+    @pytest.mark.parametrize("rule", ["brownian_bridge", "grid_crossing"])
+    def test_exit(self, exit_time_problem, rule):
+        cfg = SimConfig(dt=0.01, n_paths=40, seed=3, exit_rule=rule)
+        _, batch = self._certify_case(exit_time_problem, _exit_field(), ZERO, 0.5, cfg)
+        assert batch.exited.any()
+
+    def test_some_paths_diverge(self):
+        problem = _diverging_problem()
+        source = ClosedFormValue(lambda t, x: np.sin(x[:, 0]), lambda t, x: np.cos(x))
+        _, batch = self._certify_case(problem, source, ZERO, 0.0,
+                                      SimConfig(dt=0.5, n_paths=2000, seed=1))
+        assert batch.n_diverged == 1
+
+    def test_discounted_with_tail(self):
+        problem = _discounted_quadratic()
+        source = ClosedFormValue(lambda t, x: x[:, 0] ** 2 + 1.0, lambda t, x: 2.0 * x)
+        policy = FeedbackPolicy(lambda t, x: np.clip(-0.5 * x, -1.0, 1.0))
+        cfg = SimConfig(dt=0.05, n_paths=24, seed=8)
+        rep = discounted_verify(problem, source, policy, 0.6, 3.0, cfg, chunk_size=16)
+        est = estimate_cost(problem, policy, 0.0, 0.6, cfg, until=3.0, chunk_size=16)
+        batch = simulate(problem, policy, 0.0, 0.6, cfg, until=3.0)
+        cost, gap, _, _, tail = _rewalk(problem, source, batch, with_tail=True)
+        _assert_report_matches(rep, problem, cost, gap, tail)
+        assert rep.gap_integral.mean > 0.0
+        assert (est.mean, est.std_error) == _mean_se(cost)
+
+
+def test_discounted_verify_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # Nothing is stored per step: the peak is set by the chunk and the noise
+    # block, not by T1.  A small block bound lets both horizons reach the
+    # largest block, so only per-step storage could tell them apart.
+    monkeypatch.setattr(sde, "_BLOCK_DRAWS", 1 << 14)
+    prob = make_discounted_demo(0.5, 2.0)
+    sol = discounted_demo_solution(0.5, 2.0)
+    cfg = SimConfig(dt=0.01, n_paths=256, seed=3)
+    peaks = []
+    for t1 in (2.0, 20.0):
+        tracemalloc.start()
+        discounted_verify(prob, sol, ZERO, 0.0, truncation_T1=t1, sim_config=cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
