@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .hamiltonian import _minimize_batch
 from .problem import ControlProblem, FiniteHorizon, canonicalize
@@ -114,13 +115,19 @@ class SpaceTimeField:
     ``provenance`` is one of "solved", "closed_form", "loaded".  Probing
     between nodes uses linear interpolation in x and the value at the nearest
     time level from the *left* (piecewise-constant in t), matching the
-    convention of the verification estimators.
+    convention of the verification estimators.  The arrays of a field
+    returned by ``solve_parabolic``/``solve_exit`` are read-only.
     """
 
     grid: Grid1D
     values: np.ndarray     # (nt+1, nx)
     gradient: np.ndarray   # (nt+1, nx)
     provenance: str
+    # (problem, H0 table) set by the march that produced this field, for
+    # ``residual``; a field built any other way, ``dataclasses.replace``
+    # included, has None.
+    _march_h0: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         expected = (self.grid.nt + 1, self.grid.nx)
@@ -237,14 +244,16 @@ def solve_parabolic(
     """Backward IMEX solve of the HJB terminal-value problem on ``grid``.
 
     ``boundary`` is None for linear-extrapolation edges (second difference
-    zero), or Dirichlet data: a callable (t, x) -> value or an object with
-    ``value_at`` (values in the problem's declared sense).
+    zero; needs nx >= 4), or Dirichlet data: a callable (t, x) -> value or an
+    object with ``value_at`` (values in the problem's declared sense).
     """
     if not isinstance(problem.horizon, FiniteHorizon):
         raise ValueError("solve_parabolic requires a finite-horizon problem")
     if problem.dimension != 1:
         raise ValueError("the PDE solver is 1-d")
-    return _march(problem, grid, _dirichlet_fn(boundary))
+    if boundary is None and grid.nx < 4:
+        raise ValueError(f"extrapolation edges need nx >= 4 (two interior nodes), got nx = {grid.nx}")
+    return _march(problem, grid, _dirichlet_fn(boundary, grid))
 
 
 def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
@@ -264,21 +273,27 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
         raise ValueError(
             f"grid [{grid.x_min}, {grid.x_max}] must coincide with the domain [{a}, {b}]"
         )
+    ends = grid.xs[[0, -1]].reshape(2, 1)
 
-    def psi(t: float, x: float) -> float:
-        return float(problem.boundary(t, np.array([[x]]))[0])
+    def psi(t: float) -> tuple[float, float]:
+        ga, gb = problem.boundary(t, ends)
+        return float(ga), float(gb)
 
     return _march(problem, grid, psi)
 
 
-def _dirichlet_fn(boundary) -> Callable[[float, float], float] | None:
+def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, float]] | None:
+    """Edge data t -> (v(t, x_min), v(t, x_max)); None for extrapolation edges."""
     if boundary is None:
         return None
     if hasattr(boundary, "value_at"):
-        return lambda t, x: float(np.atleast_1d(boundary.value_at(t, np.array([x])))[0])
-    if callable(boundary):
-        return lambda t, x: float(boundary(t, x))
-    raise TypeError("boundary must be None, a callable, or provide value_at")
+        value = lambda t, x: float(np.atleast_1d(boundary.value_at(t, np.array([x])))[0])  # noqa: E731
+    elif callable(boundary):
+        value = lambda t, x: float(boundary(t, x))  # noqa: E731
+    else:
+        raise TypeError("boundary must be None, a callable, or provide value_at")
+    a, b = float(grid.xs[0]), float(grid.xs[-1])
+    return lambda t: (value(t, a), value(t, b))
 
 
 def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
@@ -290,14 +305,17 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
     elif abs(grid.t_final - T) > 1e-12 * (1.0 + abs(T)):
         raise ValueError(f"grid must end at the problem horizon T={T}, got {grid.t_final}")
 
-    xs = grid.xs
-    xcol = xs.reshape(-1, 1)
+    xcol = grid.xs.reshape(-1, 1)
     nx, nt = grid.nx, grid.nt
     dx, dt = grid.dx, grid.dt
     ts = grid.ts
 
     v = np.empty((nt + 1, nx))
     v[nt] = prob.terminal(xcol)  # canonical terminal data; flipped back at the end
+    # H0 at level i, computed from v[i] while stepping to level i-1; level 0
+    # is never needed by the march.
+    h0_table = np.empty((nt + 1, nx))
+    h0_table[0] = np.nan
 
     for i in range(nt - 1, -1, -1):
         t_impl = float(ts[i])
@@ -305,6 +323,7 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
 
         grad_prev = _central_gradient(v[i + 1], dx)
         h0, _, _ = _minimize_batch(prob, t_prev, xcol, grad_prev.reshape(-1, 1))
+        h0_table[i + 1] = h0
         rhs = v[i + 1] + dt * h0
 
         diff = prob.diff(t_impl, xcol)
@@ -317,14 +336,15 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
         m_diag = 1.0 - dt * (-2.0 * adiff - fp + fm)
         m_up = -dt * (adiff + fp)
 
-        # Interior unknowns j = 1..nx-2; edges are folded in below.
-        low = m_low[1:-1].copy()
-        diag = m_diag[1:-1].copy()
-        up = m_up[1:-1].copy()
-        r = rhs[1:-1].copy()
+        # Interior unknowns j = 1..nx-2; edges are folded in below.  The
+        # slices are views of this level's temporaries, solved in place.
+        low = m_low[1:-1]
+        diag = m_diag[1:-1]
+        up = m_up[1:-1]
+        r = rhs[1:-1]
         if dirichlet is not None:
-            ga = flip * dirichlet(t_impl, float(xs[0]))
-            gb = flip * dirichlet(t_impl, float(xs[-1]))
+            ga, gb = dirichlet(t_impl)
+            ga, gb = flip * ga, flip * gb
             r[0] -= low[0] * ga
             r[-1] -= up[-1] * gb
         else:
@@ -335,11 +355,7 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
             diag[-1] += 2.0 * up[-1]
             low[-1] -= up[-1]
 
-        ab = np.zeros((3, nx - 2))
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = low[1:]
-        interior = solve_banded((1, 1), ab, r)
+        interior = _solve_tridiagonal(low[1:], diag, up[:-1], r)
 
         v[i, 1:-1] = interior
         if dirichlet is not None:
@@ -349,19 +365,45 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
             v[i, 0] = 2.0 * interior[0] - interior[1]
             v[i, -1] = 2.0 * interior[-1] - interior[-2]
 
-        if not np.all(np.isfinite(v[i])):
+        if not np.isfinite(v[i]).all():
             raise RuntimeError(
                 f"HJB march produced non-finite values at t={t_impl:g} "
                 f"(stability ratio dt/dx^2 = {grid.stability_ratio:.3g})"
             )
 
-    values = flip * v
-    gradient = np.stack([_central_gradient(row, dx) for row in values])
-    return SpaceTimeField(grid=grid, values=values, gradient=gradient, provenance="solved")
+    values = -v if flip < 0 else v
+    gradient = np.gradient(values, dx, axis=1)
+    # Read-only, so that the H0 rows kept for ``residual`` cannot go stale.
+    values.flags.writeable = gradient.flags.writeable = False
+    field = SpaceTimeField(grid=grid, values=values, gradient=gradient, provenance="solved")
+    object.__setattr__(field, "_march_h0", (problem, h0_table))
+    return field
+
+
+def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (sub-, main and super-diagonal), overwriting
+    the arguments.
+
+    Calls LAPACK ``dgtsv`` as ``scipy.linalg.solve_banded((1, 1), ...)`` does,
+    with the same bits but without its per-call validation and copies.
+    """
+    if diag.size == 1:
+        return rhs / diag  # dgtsv rejects the empty off-diagonals; SciPy divides too
+    x, info = dgtsv(low, diag, up, rhs, 1, 1, 1, 1)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
-    return np.gradient(row, dx)
+    """``np.gradient(row, dx)`` of a 1-d row: the same formulas, hence the same
+    bits, without its per-call overhead."""
+    out = np.empty_like(row)
+    out[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
+    out[0] = (row[1] - row[0]) / dx
+    out[-1] = (row[-1] - row[-2]) / dx
+    return out
 
 
 def field_from_callable(
@@ -378,7 +420,7 @@ def field_from_callable(
     if gradient_fn is not None:
         gradient = np.stack([np.asarray(gradient_fn(float(t), xs), dtype=float) for t in ts])
     else:
-        gradient = np.stack([_central_gradient(row, grid.dx) for row in values])
+        gradient = np.gradient(values, grid.dx, axis=1)
     return SpaceTimeField(grid=grid, values=values, gradient=gradient, provenance=provenance)
 
 
@@ -394,18 +436,32 @@ def residual(
 ) -> ResidualReport:
     """Discrete HJB residual of ``field`` (central differences, one-sided in
     time at the ends), excluding x-boundary columns and nodes within
-    ``exclusion_radius`` grid cells of a registered kink."""
+    ``exclusion_radius`` grid cells of a registered kink.
+
+    A field solved by ``solve_parabolic``/``solve_exit`` keeps the H0 rows its
+    march computed for levels 1..nt from the same central gradients; they are
+    reused here when ``problem`` is the very object the field was solved for
+    (an identity check), so only level 0 minimizes H0 again.  Any other field
+    or problem has H0 computed row by row; the residual is the same bits
+    either way.
+    """
     prob = canonicalize(problem)
-    flip = -1.0 if problem.sense == "maximize" else 1.0
+    maximize = problem.sense == "maximize"
     grid = field.grid
     xs, ts = grid.xs, grid.ts
     dx, dt = grid.dx, grid.dt
-    vals = flip * field.values
+    vals = -field.values if maximize else field.values
     nt, nx = grid.nt, grid.nx
     xcol = xs.reshape(-1, 1)
 
-    dvdt = np.gradient(vals, dt, axis=0)   # central interior, one-sided ends
-    res = np.full_like(vals, np.nan)
+    march = field._march_h0
+    h0_table = march[1] if march is not None and march[0] is problem else None
+    # A solved field's gradient is the central difference of its declared-sense
+    # values: d1 itself for a minimize problem; for maximize it is -d1 up to
+    # signed zeros, so d1 is recomputed.
+    d1_table = field.gradient if h0_table is not None and not maximize else None
+
+    res = np.full((nt + 1, nx), np.nan)
     excluded = {0, nx - 1}
     for kink in problem.kink_points:
         hits = np.where(np.abs(xs - kink) <= exclusion_radius * dx + 1e-12)[0]
@@ -415,7 +471,11 @@ def residual(
     for i in range(nt + 1):
         t = float(ts[i])
         row = vals[i]
-        d1 = _central_gradient(row, dx)
+        # np.gradient(vals, dt, axis=0), one row at a time: central inside,
+        # one-sided at the ends.
+        lo, hi = max(i - 1, 0), min(i + 1, nt)
+        dvdt = (vals[hi] - vals[lo]) / (2.0 * dt if hi - lo == 2 else dt)
+        d1 = d1_table[i] if d1_table is not None else _central_gradient(row, dx)
         d2 = np.empty_like(row)
         d2[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / dx**2
         d2[0] = d2[1]
@@ -423,8 +483,11 @@ def residual(
         diff = prob.diff(t, xcol)
         sigma2 = np.einsum("pnm,pnm->p", diff, diff)
         f0 = prob.f0(t, xcol)[:, 0]
-        h0, _, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
-        full = dvdt[i] + 0.5 * sigma2 * d2 + f0 * d1 + h0
+        if h0_table is not None and i > 0:
+            h0 = h0_table[i]
+        else:
+            h0, _, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
+        full = dvdt + 0.5 * sigma2 * d2 + f0 * d1 + h0
         res[i, keep] = full[keep]
 
     sup = float(np.nanmax(np.abs(res[:, keep]))) if keep.size else float("nan")

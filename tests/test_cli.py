@@ -371,6 +371,24 @@ class TestSolveCommand:
         report = _json_of(out, "residual.json")
         assert 0.0 <= report["sup_interior_residual"] < 1.0
 
+    def test_extrapolation_edges_on_three_nodes_exit_2(self, tmp_path):
+        # One interior node cannot carry a zero second difference at both
+        # edges: a run error with failures.json, not a traceback.
+        message = _run_failure(
+            tmp_path,
+            """\
+            [problem]
+            kind = advertising
+
+            [grid]
+            nx = 3
+            nt = 10
+            boundary = extrapolate
+            """,
+        )
+        assert "extrapolation edges need nx >= 4" in message
+        assert not (tmp_path / "out" / "field.csv").exists()
+
 
 class TestSimulateCommand:
     def test_discounted_estimate_matches_closed_form(self, tmp_path):

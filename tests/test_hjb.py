@@ -1,7 +1,10 @@
 """PDE solver and field utilities: exactness, refinement, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from hjbverify import (
     ControlProblem,
@@ -18,6 +21,8 @@ from hjbverify import (
     solve_exit,
     solve_parabolic,
 )
+from hjbverify import hjb
+from hjbverify.hjb import _central_gradient, _solve_tridiagonal
 
 
 def _heat_problem(terminal=None, kink_points=(), horizon=1.0):
@@ -31,6 +36,21 @@ def _heat_problem(terminal=None, kink_points=(), horizon=1.0):
         diffusion=lambda t, x: np.ones(x.shape + (1,)),
         running_cost=lambda t, x, z: np.zeros(x.shape[0]),
         control_set=ControlSet.finite([[0.0]]),
+        kink_points=kink_points,
+    )
+
+
+def _bang_bang_problem(kink_points=()):
+    """dx = z dt + dW with z in {-1, 1}, no running cost: H0(p) = -|p|."""
+    return ControlProblem(
+        dimension=1,
+        noise_dimension=1,
+        horizon=FiniteHorizon(1.0, lambda x: np.abs(x[:, 0])),
+        drift_uncontrolled=lambda t, x: np.zeros_like(x),
+        drift_controlled=lambda t, x, z: z,
+        diffusion=lambda t, x: np.ones(x.shape + (1,)),
+        running_cost=lambda t, x, z: np.zeros(x.shape[0]),
+        control_set=ControlSet.finite([[-1.0], [1.0]]),
         kink_points=kink_points,
     )
 
@@ -140,6 +160,18 @@ class TestSolveParabolic:
         with pytest.raises(ValueError, match="finite-horizon"):
             solve_parabolic(prob, Grid1D(-1, 1, 11, 4, t_final=1.0))
 
+    def test_extrapolation_edges_need_two_interior_nodes(self):
+        grid = Grid1D(-1.0, 1.0, 3, 4, t_final=1.0)
+        with pytest.raises(ValueError, match="extrapolation edges need nx >= 4"):
+            solve_parabolic(_heat_problem(), grid)
+        # Dirichlet edges need only one interior node; the scheme is exact
+        # on the quadratic solution.
+        field = solve_parabolic(_heat_problem(), grid, boundary=lambda t, x: x**2 + (1.0 - t))
+        assert np.max(np.abs(field.values[:, 1] - (1.0 - grid.ts))) <= 1e-12
+        linear = solve_parabolic(_heat_problem(terminal=lambda x: x[:, 0]),
+                                 Grid1D(-1.0, 1.0, 4, 4, t_final=1.0))
+        assert np.max(np.abs(linear.values - linear.grid.xs)) <= 1e-12
+
 
 class TestSolveExit:
     def test_constant_demo_exact(self, exit_constant_problem):
@@ -203,6 +235,137 @@ class TestResidual:
             gradient_fn=lambda t, xs: adv_solution.gradient(t, xs))
         rep = residual(field, adv_problem)
         assert rep.sup_interior_residual <= 1e-2
+
+
+class TestResidualReusesMarchRows:
+    """A solved field's residual reads H0 at levels 1..nt from the march.
+
+    The reference is the same arrays wrapped as a loaded field, whose
+    residual computes every row itself; the two must agree bit for bit.
+    """
+
+    @staticmethod
+    def _loaded(field):
+        return SpaceTimeField(grid=field.grid, values=field.values,
+                              gradient=field.gradient, provenance="loaded")
+
+    @staticmethod
+    def _h0_calls(monkeypatch):
+        calls = []
+        original = hjb._minimize_batch
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+        monkeypatch.setattr(hjb, "_minimize_batch", counted)
+        return calls
+
+    def _assert_reused(self, monkeypatch, field, problem, **kwargs):
+        reference = residual(self._loaded(field), problem, **kwargs)
+        calls = self._h0_calls(monkeypatch)
+        rep = residual(field, problem, **kwargs)
+        assert calls == [0.0]  # only level 0 is minimized again
+        assert rep.excluded_nodes == reference.excluded_nodes
+        assert rep.residual.tobytes() == reference.residual.tobytes()
+        assert rep.sup_interior_residual == reference.sup_interior_residual
+        # The stored gradient is the per-row central difference of the
+        # stored values, signed zeros included.
+        per_row = np.stack([np.gradient(row, field.grid.dx) for row in field.values])
+        assert field.gradient.tobytes() == per_row.tobytes()
+        return rep
+
+    def test_march_minimizes_levels_one_to_nt_only(self, monkeypatch):
+        calls = self._h0_calls(monkeypatch)
+        field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 11, 8))
+        assert calls == list(field.grid.ts[:0:-1])
+
+    def test_exit_problems_minimize_with_psi_edges(self, monkeypatch, exit_time_problem,
+                                                   exit_constant_problem):
+        for prob in (exit_time_problem, exit_constant_problem):
+            field = solve_exit(prob, Grid1D(0.0, 1.0, 41, 60))
+            self._assert_reused(monkeypatch, field, prob)
+
+    @pytest.mark.parametrize("edges", ["extrapolate", "callable", "value_at"])
+    def test_maximize_advertising(self, monkeypatch, adv_params, adv_problem, adv_solution,
+                                  edges):
+        boundary = {"extrapolate": None,
+                    "callable": lambda t, x: advertising_value(adv_params, t, x),
+                    "value_at": adv_solution}[edges]
+        field = solve_parabolic(adv_problem, Grid1D(0.1, 5.0, 41, 50), boundary=boundary)
+        assert adv_problem.sense == "maximize"
+        self._assert_reused(monkeypatch, field, adv_problem)
+
+    def test_registered_kink_with_exclusion_radius(self, monkeypatch):
+        prob = _bang_bang_problem(kink_points=(0.0,))
+        field = solve_parabolic(prob, Grid1D(-1.0, 1.0, 41, 30))
+        rep = self._assert_reused(monkeypatch, field, prob, exclusion_radius=2)
+        assert set(range(18, 23)).issubset(rep.excluded_nodes)
+
+    def test_another_problem_object_gets_its_own_residual(self, monkeypatch, exit_time_problem):
+        field = solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 41, 60))
+        doubled = dataclasses.replace(
+            exit_time_problem, running_cost=lambda t, x, z: np.full(x.shape[0], 2.0))
+        reference = residual(self._loaded(field), doubled)
+        calls = self._h0_calls(monkeypatch)
+        rep = residual(field, doubled)
+        assert len(calls) == field.grid.nt + 1
+        assert rep.residual.tobytes() == reference.residual.tobytes()
+        # H0 is the running cost here, so doubling it shifts the residual by 1.
+        own = residual(field, exit_time_problem)
+        assert np.nanmax(np.abs(rep.residual - own.residual - 1.0)) <= 1e-9
+
+    def test_replaced_values_do_not_inherit_the_rows(self, monkeypatch):
+        prob = _bang_bang_problem()
+        field = solve_parabolic(prob, Grid1D(-1.0, 1.0, 41, 30))
+        scaled = dataclasses.replace(field, values=2.0 * field.values)
+        reference = residual(self._loaded(scaled), prob)
+        calls = self._h0_calls(monkeypatch)
+        rep = residual(scaled, prob)
+        assert len(calls) == field.grid.nt + 1
+        assert rep.residual.tobytes() == reference.residual.tobytes()
+        assert rep.residual.tobytes() != residual(field, prob).residual.tobytes()
+
+    def test_solved_arrays_are_read_only(self):
+        field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 5, 3))
+        for table in (field.values, field.gradient):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 1] = 0.0
+
+    def test_rows_do_not_show_in_equality_repr_or_csv(self, tmp_path):
+        field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 5, 3))
+        assert dataclasses.replace(field) == field
+        assert "_march_h0" not in repr(field)
+        field.to_csv(str(tmp_path / "a.csv"))
+        self._loaded(field).to_csv(str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert SpaceTimeField.from_csv(str(tmp_path / "a.csv"))._march_h0 is None
+
+
+class TestMarchKernels:
+    def test_central_gradient_is_np_gradient(self, rng):
+        for n in (3, 4, 5, 17, 201):
+            for _ in range(40):
+                row = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+                row[rng.random(n) < 0.2] = 0.0  # equal neighbours give signed zeros
+                dx = float(rng.uniform(1e-3, 2.0))
+                assert _central_gradient(row, dx).tobytes() == np.gradient(row, dx).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 199])
+    def test_tridiagonal_solve_is_solve_banded(self, rng, n):
+        for _ in range(20):
+            low, up = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+            diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
+            rhs = rng.normal(size=n)
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = up, diag, low
+            expected = solve_banded((1, 1), ab, rhs)
+            got = _solve_tridiagonal(low.copy(), diag.copy(), up.copy(), rhs.copy())
+            assert got.tobytes() == expected.tobytes()
+
+    def test_singular_tridiagonal_system_raises(self):
+        with pytest.raises(LinAlgError, match="singular"):
+            _solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]),
+                               np.array([1.0, 2.0]))
 
 
 class TestRefineLadder:
@@ -346,6 +509,12 @@ class TestFieldFromCallable:
         t, x = float(grid.ts[2]), float(grid.xs[3])
         assert field.values[2, 3] == pytest.approx(advertising_value(adv_params, t, x))
         assert field.gradient[2, 3] == pytest.approx(adv_solution.gradient(t, x))
+
+    def test_gradient_without_gradient_fn_is_per_row_np_gradient(self, adv_params):
+        grid = Grid1D(0.2, 5.0, 31, 12, t_final=1.0)
+        field = field_from_callable(lambda t, xs: advertising_value(adv_params, t, xs), grid)
+        per_row = np.stack([np.gradient(row, grid.dx) for row in field.values])
+        assert field.gradient.tobytes() == per_row.tobytes()
 
     def test_needs_t_final(self, adv_params):
         with pytest.raises(ValueError, match="t_final"):
