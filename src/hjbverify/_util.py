@@ -18,15 +18,6 @@ log = logging.getLogger(__name__)
 _FALLBACK_LOGGED: set[str] = set()
 
 
-def log_row_fallback(label: str, reason: str) -> None:
-    """Warn, once per label, that a batched call fell back to one row at a time."""
-    if label in _FALLBACK_LOGGED:
-        return
-    _FALLBACK_LOGGED.add(label)
-    log.warning("%s: the batched call %s; evaluating it row by row "
-                "(slow; logged once per coefficient)", label, reason)
-
-
 def as_point_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     """Normalize ``x`` to shape (P, dim).
 
@@ -68,19 +59,27 @@ def batch_call(fn, *args, expect_shape: tuple[int, ...], label: str):
 
     Tries the vectorized call first; if it raises or the result has the wrong
     shape, falls back to a row-by-row loop so scalar-only user callables still
-    work (the built-in problems are all vectorized).  The first fallback of
-    each ``label`` is logged as a warning.  If the loop raises too, its
-    exception is chained to the vectorized call's.
+    work (the built-in problems are all vectorized).  The one reshape taken
+    without a fallback: when the expected last axis has length 1 and only that
+    axis is missing, e.g. a (P,) result for an expected (P, 1).  The first
+    fallback of each ``label`` is logged as a warning.  If the loop raises
+    too, its exception is chained to the vectorized call's.
     """
     first = None
     try:
         out = np.asarray(fn(*args), dtype=float)
         if out.shape == expect_shape:
             return out
-        log_row_fallback(label, f"returned shape {out.shape}, expected {expect_shape}")
+        if expect_shape[-1:] == (1,) and out.shape == expect_shape[:-1]:
+            return out.reshape(expect_shape)
+        reason = f"returned shape {out.shape}, expected {expect_shape}"
     except Exception as exc:
         first = exc
-        log_row_fallback(label, f"raised {type(exc).__name__}: {exc}")
+        reason = f"raised {type(exc).__name__}: {exc}"
+    if label not in _FALLBACK_LOGGED:
+        _FALLBACK_LOGGED.add(label)
+        log.warning("%s: the batched call %s; evaluating it row by row "
+                    "(slow; logged once per coefficient)", label, reason)
     # Fallback: evaluate one row at a time.  Array arguments are batches over
     # axis 0; scalars (the time t, where the callable takes one) pass through.
     # A scalar return must not be broadcast — it may be a scalar-only

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime
 import json
 import logging
@@ -30,7 +31,6 @@ from . import __version__
 from . import benchmarks as bm
 from . import hamiltonian, hjb, sde, verify
 from .problem import (
-    CoefficientError,
     DiscountedInfinite,
     Domain,
     canonicalize,
@@ -301,10 +301,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> list[dict]:
                          path_range=(0, min(sim.n_paths, _N_DUMP_PATHS)))
     sde.dump_paths_csv(batch, os.path.join(out_dir, "paths.csv"))
     _write_json(os.path.join(out_dir, "estimate.json"), {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "n_paths": est.n_paths,
-        "discarded_diverged": est.discarded_diverged,
+        **dataclasses.asdict(est),
         "paths_in_csv": batch.n_paths,
         "config": cfg,
         "version": __version__,
@@ -371,45 +368,25 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
         field = _solve_field(cfg, problem, params)
         source = field
 
-    discounted = isinstance(problem.horizon, DiscountedInfinite)
-    if discounted:
+    if isinstance(problem.horizon, DiscountedInfinite):
         report = verify.discounted_verify(problem, source, policy, x0,
                                           float(v["truncation_t1"]), sim,
                                           c1=c1, c2=c2, tolerance=tolerance)
         certificate = None
-        failed = not report.passed
     else:
         certificate = verify.certify(problem, source, policy, t0, x0, sim,
                                      c1=c1, c2=c2, tolerance=tolerance,
                                      necessity_scan=True)
         report = certificate.evidence
-        failed = certificate.verdict == verify.VERDICT_INCONCLUSIVE
 
     hypotheses = _hypotheses_dict(problem, cfg)
     diagnostics = _diagnostics_dict(problem, source, field, cfg)
 
     payload = {
-        "identity": {
-            "v_at_start": report.v_at_start,
-            "cost": {"mean": report.cost.mean, "std_error": report.cost.std_error,
-                     "n_paths": report.cost.n_paths,
-                     "discarded_diverged": report.cost.discarded_diverged},
-            "gap_integral": {"mean": report.gap_integral.mean,
-                             "std_error": report.gap_integral.std_error,
-                             "n_paths": report.gap_integral.n_paths,
-                             "discarded_diverged": report.gap_integral.discarded_diverged},
-            "identity_defect": report.identity_defect,
-            "tolerance_used": report.tolerance_used,
-            "passed": report.passed,
-            "notes": list(report.notes),
-            "tail_magnitude": report.tail_magnitude,
-            "tail_bound": report.tail_bound,
-        },
+        "identity": dataclasses.asdict(report),
         "certificate": None if certificate is None else {
-            "verdict": certificate.verdict,
-            "optimality_margin": certificate.optimality_margin,
-            "lower_bound_note": certificate.lower_bound_note,
-            "necessity_fraction": certificate.necessity_fraction,
+            key: value for key, value in dataclasses.asdict(certificate).items()
+            if key != "evidence"
         },
         "hypotheses": hypotheses,
         "diagnostics": diagnostics,
@@ -420,11 +397,15 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
     _write_markdown(os.path.join(out_dir, "report.md"), cfg, report, certificate,
                     hypotheses, diagnostics)
 
-    if failed:
-        reason = ("identity defect exceeds tolerance" if not report.passed
-                  else "verdict inconclusive")
-        return [{"check": "verification", "message": reason}]
-    return []
+    if report.passed:  # a verdict is inconclusive exactly when its report failed
+        return []
+    tol = report.tolerance_used
+    causes = []
+    if not report.identity_defect <= tol:
+        causes.append("identity defect exceeds tolerance")
+    if report.tail_bound is not None and report.tail_bound > tol:
+        causes.append("truncation tail bound exceeds tolerance")
+    return [{"check": "verification", "message": "; ".join(causes)}]
 
 
 def _md_num(x: float | None) -> str:
@@ -666,13 +647,12 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _make_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     try:
         overrides = {}
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         if args.command == "benchmark":
             if args.name != "advertising":
                 raise ConfigError(f"unknown benchmark {args.name!r}; available: advertising")
@@ -690,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
         _echo_config(cfg, out_dir)
         failures = {"solve": cmd_solve, "simulate": cmd_simulate, "verify": cmd_verify,
                     "benchmark": cmd_benchmark}[args.command](cfg, out_dir)
-    except (ConfigError, CoefficientError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # ConfigError, CoefficientError: ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         _write_json(os.path.join(out_dir, "failures.json"),
                     [{"check": "run", "message": str(exc)}])

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import as_point_batch, log_row_fallback
+from ._util import as_point_batch, batch_call
 from .problem import ControlProblem, DiscountedInfinite, Domain, FiniteHorizon
 
 __all__ = [
@@ -182,30 +182,17 @@ class OpenLoopPolicy:
 
 
 class FeedbackPolicy:
-    """z(s) = map(s, y(s)); the map may be batched or scalar-only."""
+    """z(s) = map(s, y(s)); the map may be batched or scalar-only.
+
+    The fallback is :func:`~hjbverify._util.batch_call`'s: a (P,) result is
+    taken for k = 1, any other shape (size 1 for P > 1 too) goes row by row.
+    """
 
     def __init__(self, map: Callable):
         self.map = map
 
     def controls_at(self, t: float, x: np.ndarray, k: int) -> np.ndarray:
-        P = x.shape[0]
-        try:
-            out = np.asarray(self.map(t, x), dtype=float)
-        except Exception as exc:
-            out = None
-            log_row_fallback("policy", f"raised {type(exc).__name__}: {exc}")
-        if out is not None:
-            if out.shape == (P, k):
-                return out
-            if out.shape == (P,) and k == 1:
-                return out.reshape(P, 1)
-            if out.size == 1:
-                return np.broadcast_to(out.reshape(()), (P, k)).copy()
-            log_row_fallback("policy", f"returned shape {out.shape}, expected {(P, k)}")
-        rows = np.empty((P, k))
-        for i in range(P):
-            rows[i] = np.atleast_1d(np.asarray(self.map(t, x[i]), dtype=float))
-        return rows
+        return batch_call(self.map, t, x, expect_shape=(x.shape[0], k), label="policy")
 
 
 def _as_policy(policy):

@@ -154,19 +154,27 @@ class ClosedFormValue:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk accumulation
+# The Monte Carlo run
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _ChunkTerms:
-    cost: np.ndarray               # (K,) canonical per-path cost
-    gap: np.ndarray | None         # (K,) per-path gap integral (None for pure cost runs)
-    tail: np.ndarray | None        # (K,) canonical tail term e^{-rate T1} v(y(T1))
-    escaped: np.ndarray | None     # (K,) bool: some retained state left the field grid
+    cost: np.ndarray               # (K,) canonical per-path cost, tail term included
+    gap: np.ndarray                # (K,) per-path gap integral (zeros without a source)
+    tail: np.ndarray               # (K,) canonical tail term e^{-rate T1} v(y(T1)) (zeros without one)
+    n_discarded: int               # paths dropped for non-finite states
+    n_escaped: int                 # retained paths some state of which left the field grid
     n_points: int                  # live (path, step) points seen by the gap scan
     n_violations: int              # points with gap > pointwise allowance
     v_end_max: float               # max |v| over sampled end states (tail bound)
+
+
+def _orientation(problem: ControlProblem) -> tuple[float, float | None]:
+    """The sign into the canonical minimize sense, and the discount rate (None if finite)."""
+    flip = -1.0 if problem.sense == "maximize" else 1.0
+    rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
+    return flip, rate
 
 
 def _quadrature_weights(times: np.ndarray, dt: float, rate: float | None) -> np.ndarray:
@@ -192,12 +200,9 @@ class _Integrand:
         self.prob, self.source, self.flip, self.w = prob_min, source, flip, weights
         self.bounds, self.point_tol = bounds, point_tol
         self.cost = np.zeros(n_paths)
-        self.gap = self.violations = self.escaped = None
-        if source is not None:
-            self.gap = np.zeros(n_paths)
-            self.violations = np.zeros(n_paths, dtype=np.int64)
-            if bounds is not None:
-                self.escaped = np.zeros(n_paths, dtype=bool)
+        self.gap = np.zeros(n_paths)
+        self.violations = np.zeros(n_paths, dtype=np.int64)
+        self.escaped = np.zeros(n_paths, dtype=bool)
 
     def __call__(self, i: int, t: float, rows: np.ndarray, x: np.ndarray, z: np.ndarray,
                  f1: np.ndarray) -> None:
@@ -207,7 +212,7 @@ class _Integrand:
         self.cost[rows] += self.w[i] * ell
         if self.source is None:
             return
-        if self.escaped is not None:
+        if self.bounds is not None:
             self.escaped[rows] |= (x[:, 0] < self.bounds[0]) | (x[:, 0] > self.bounds[1])
         p = self.flip * np.asarray(self.source.gradient_at(t, x), dtype=float).reshape(x.shape)
         hcv = np.einsum("pn,pn->p", f1, p) + ell
@@ -220,45 +225,34 @@ class _Integrand:
 def _chunk_terms(
     prob_min: ControlProblem,
     batch: PathBatch,
-    keep: np.ndarray,
     source,
     flip: float,
     rate: float | None,
-    with_tail: bool,
 ) -> _ChunkTerms:
-    """Per-path terms of the retained rows of one streamed chunk.
+    """Per-path terms of the retained (never diverged) rows of one streamed chunk.
 
     Takes the integrals the chunk's :class:`_Integrand` accumulated and adds
     the terminal or boundary payment for finite-horizon problems, the
-    discounted tail when ``with_tail``.
+    discounted tail when a candidate ``source`` is given.
     """
     acc = batch.integrand
+    keep = batch.diverged_step < 0
     exit_step = batch.exit_step[keep]
     exit_state = batch.exit_state[keep]
     end_state = batch.end_state[keep]
     times = batch.times
     K, S = exit_step.shape[0], batch.n_steps
     cost = acc.cost[keep]
-    gap = acc.gap[keep] if acc.gap is not None else None
-    escaped = acc.escaped[keep] if acc.escaped is not None else None
-    n_points = n_violations = 0
-    if source is not None:
-        n_points = int(np.sum(np.where(exit_step >= 0, exit_step, S)))
-        n_violations = int(np.sum(acc.violations[keep]))
-
-    tail = None
+    tail = np.zeros(K)
     v_end_max = 0.0
     if rate is None:
         exited = exit_step >= 0
-        if exited.any():
-            pay = np.zeros(K)
-            for e in np.unique(exit_step[exited]):
-                m = exit_step == e
-                pay[m] = prob_min.boundary(float(times[e]), exit_state[m])
-            cost[exited] += pay[exited]
+        for e in np.unique(exit_step[exited]):
+            m = exit_step == e
+            cost[m] += prob_min.boundary(float(times[e]), exit_state[m])
         if (~exited).any():
             cost[~exited] += prob_min.terminal(end_state[~exited])
-    elif with_tail:
+    elif source is not None:
         t_end = float(times[-1])
         v_end = flip * np.asarray(source.value_at(t_end, end_state), dtype=float).reshape(K)
         if not np.all(np.isfinite(v_end)):
@@ -268,25 +262,82 @@ def _chunk_terms(
             )
         v_end_max = float(np.max(np.abs(v_end))) if K else 0.0
         tail = math.exp(-rate * (t_end - batch.t0)) * v_end
+        cost += tail
 
-    return _ChunkTerms(cost=cost, gap=gap, tail=tail, escaped=escaped,
-                       n_points=n_points, n_violations=n_violations,
+    n_points = int(np.sum(np.where(exit_step >= 0, exit_step, S))) if source is not None else 0
+    return _ChunkTerms(cost=cost, gap=acc.gap[keep], tail=tail,
+                       n_discarded=batch.n_paths - K,
+                       n_escaped=int(np.sum(acc.escaped[keep])),
+                       n_points=n_points,
+                       n_violations=int(np.sum(acc.violations[keep])),
                        v_end_max=v_end_max)
 
 
-def _mean_se(arr: np.ndarray) -> tuple[float, float]:
-    n = arr.size
-    mean = float(np.mean(arr))
-    se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+def _monte_carlo(
+    problem: ControlProblem,
+    source,
+    policy,
+    t0: float,
+    x0,
+    sim_config: SimConfig,
+    until: float | None,
+    chunk_size: int,
+    c1: float = 0.0,
+    c2: float = 0.0,
+) -> tuple[_ChunkTerms, float]:
+    """The one Monte Carlo run behind every estimator: its terms and step dt.
 
+    Each chunk of paths is streamed through an :class:`_Integrand` (with the
+    gap scan iff a candidate ``source`` is given) and the chunks' terms are
+    reduced in chunk order.  Raises when more than 0.1% of the paths diverged
+    or, for a field-backed ``source``, left its grid.
+    """
+    prob = canonicalize(problem)
+    flip, rate = _orientation(problem)
+    grid = getattr(source, "grid", None)
+    bounds = (grid.x_min, grid.x_max) if grid is not None else None
+    dx = grid.dx if grid is not None else 0.0
 
-def _check_discarded(discarded: int, total: int) -> None:
-    if total and discarded / total > _MAX_DISCARD_FRACTION:
+    def integrand(n_paths, times, dt):
+        return _Integrand(prob, source, flip, _quadrature_weights(times, dt, rate), bounds,
+                          c1 * dx + c2 * math.sqrt(dt), n_paths)
+
+    chunks: list[_ChunkTerms] = []
+    for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
+                                 chunk_size=chunk_size, integrand=integrand):
+        chunks.append(_chunk_terms(prob, batch, source, flip, rate))
+        dt = batch.dt
+    run = _ChunkTerms(
+        cost=np.concatenate([c.cost for c in chunks]),
+        gap=np.concatenate([c.gap for c in chunks]),
+        tail=np.concatenate([c.tail for c in chunks]),
+        n_discarded=sum(c.n_discarded for c in chunks),
+        n_escaped=sum(c.n_escaped for c in chunks),
+        n_points=sum(c.n_points for c in chunks),
+        n_violations=sum(c.n_violations for c in chunks),
+        v_end_max=max(c.v_end_max for c in chunks),
+    )
+
+    total = sim_config.n_paths
+    if run.n_discarded / total > _MAX_DISCARD_FRACTION:
         raise RuntimeError(
-            f"{discarded} of {total} paths diverged (> 0.1%); decrease dt or "
+            f"{run.n_discarded} of {total} paths diverged (> 0.1%); decrease dt or "
             f"check the problem dynamics before trusting any estimate"
         )
+    if run.n_escaped / total > _MAX_ESCAPE_FRACTION:
+        raise RuntimeError(
+            f"{run.n_escaped} of {total} paths left the candidate field's grid "
+            f"[{bounds[0]}, {bounds[1]}] (> 0.1%); solve on a larger grid"
+        )
+    return run, dt
+
+
+def _estimate(values: np.ndarray, discarded: int, sign: float = 1.0) -> CostEstimate:
+    """Sample mean (times ``sign``) and standard error of per-path values."""
+    n = values.size
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return CostEstimate(mean=sign * float(np.mean(values)), std_error=se, n_paths=int(n),
+                        discarded_diverged=discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +366,8 @@ def estimate_cost(
     Maximize-sense problems report the original-sign value.  Diverged paths
     are discarded and counted; a discarded fraction above 0.1% raises.
     """
-    prob = canonicalize(problem)
-    flip = -1.0 if problem.sense == "maximize" else 1.0
-    rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
-
-    def integrand(n_paths, times, dt):
-        return _Integrand(prob, None, flip, _quadrature_weights(times, dt, rate), None, 0.0,
-                          n_paths)
-
-    costs: list[np.ndarray] = []
-    discarded = 0
-    total = 0
-    for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
-                                 chunk_size=chunk_size, integrand=integrand):
-        keep = batch.diverged_step < 0
-        total += batch.n_paths
-        discarded += int(np.sum(~keep))
-        terms = _chunk_terms(prob, batch, keep, source=None, flip=flip, rate=rate,
-                             with_tail=False)
-        costs.append(terms.cost)
-    _check_discarded(discarded, total)
-    arr = np.concatenate(costs)
-    mean, se = _mean_se(arr)
-    return CostEstimate(mean=flip * mean, std_error=se, n_paths=int(arr.size),
-                        discarded_diverged=discarded)
+    run, _ = _monte_carlo(problem, None, policy, t0, x0, sim_config, until, chunk_size)
+    return _estimate(run.cost, run.n_discarded, sign=_orientation(problem)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,115 +387,60 @@ def _identity_run(
     c2: float,
     tolerance: float | None,
     chunk_size: int,
-    with_tail: bool,
 ) -> tuple[IdentityReport, dict]:
-    prob = canonicalize(problem)
-    flip = -1.0 if problem.sense == "maximize" else 1.0
-    rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
-
+    flip, rate = _orientation(problem)
     xb, _ = as_point_batch(x0, problem.dimension)
     v_orig = float(np.asarray(source.value_at(t0, xb), dtype=float).reshape(-1)[0])
     v_min = flip * v_orig
+    dx = getattr(getattr(source, "grid", None), "dx", 0.0)
 
-    grid = getattr(source, "grid", None)
-    bounds = (grid.x_min, grid.x_max) if grid is not None else None
-    dx = grid.dx if grid is not None else 0.0
-
-    costs: list[np.ndarray] = []
-    gaps: list[np.ndarray] = []
-    tails: list[np.ndarray] = []
-    discarded = 0
-    total = 0
-    n_escaped = 0
-    n_points = 0
-    n_violations = 0
-    v_end_max = 0.0
-    dt_eff = None
-
-    def integrand(n_paths, times, dt):
-        return _Integrand(prob, source, flip, _quadrature_weights(times, dt, rate), bounds,
-                          c1 * dx + c2 * math.sqrt(dt), n_paths)
-
-    for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
-                                 chunk_size=chunk_size, integrand=integrand):
-        dt_eff = batch.dt
-        keep = batch.diverged_step < 0
-        total += batch.n_paths
-        discarded += int(np.sum(~keep))
-        terms = _chunk_terms(prob, batch, keep, source=source, flip=flip, rate=rate,
-                             with_tail=with_tail)
-        costs.append(terms.cost)
-        gaps.append(terms.gap)
-        if terms.tail is not None:
-            tails.append(terms.tail)
-        if terms.escaped is not None:
-            n_escaped += int(np.sum(terms.escaped))
-        n_points += terms.n_points
-        n_violations += terms.n_violations
-        v_end_max = max(v_end_max, terms.v_end_max)
-
-    _check_discarded(discarded, total)
+    run, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, chunk_size,
+                           c1, c2)
     notes: list[str] = []
-    if bounds is not None:
-        if total and n_escaped / total > _MAX_ESCAPE_FRACTION:
-            raise RuntimeError(
-                f"{n_escaped} of {total} paths left the candidate field's grid "
-                f"[{bounds[0]}, {bounds[1]}] (> 0.1%); solve on a larger grid"
-            )
-        if n_escaped:
-            notes.append(
-                f"{n_escaped} of {total} paths left the field grid; gradients "
-                f"were clamped to the nearest edge value"
-            )
+    if run.n_escaped:
+        notes.append(
+            f"{run.n_escaped} of {sim_config.n_paths} paths left the field grid; "
+            f"gradients were clamped to the nearest edge value"
+        )
 
-    cost_arr = np.concatenate(costs)
-    gap_arr = np.concatenate(gaps)
     tail_magnitude = None
     tail_bound = None
-    if with_tail:
-        tail_arr = np.concatenate(tails)
-        cost_arr = cost_arr + tail_arr
-        tail_magnitude = abs(float(np.mean(tail_arr)))
-        tail_bound = math.exp(-rate * (until - t0)) * v_end_max
-        if v_end_max > 1e8:
+    if rate is not None:
+        tail_magnitude = abs(float(np.mean(run.tail)))
+        tail_bound = math.exp(-rate * (until - t0)) * run.v_end_max
+        if run.v_end_max > 1e8:
             log.warning(
                 "candidate value reaches |v| = %.3e on sampled end states; "
                 "the boundedness assumption behind the tail bound looks shaky",
-                v_end_max,
+                run.v_end_max,
             )
         notes.append(
             f"truncation tail {tail_magnitude:.6e} <= bound {tail_bound:.6e} "
             f"= e^(-rate*T1) * sup|v| over sampled end states"
         )
 
-    paired = cost_arr - gap_arr
-    mean_d, se_d = _mean_se(paired)
-    mean_c, se_c = _mean_se(cost_arr)
-    mean_g, se_g = _mean_se(gap_arr)
-    defect = abs(mean_d - v_min)
-    allowance = c1 * dx + c2 * math.sqrt(dt_eff)
-    tol_used = float(tolerance) if tolerance is not None else 3.0 * se_d + allowance
+    paired = _estimate(run.cost - run.gap, run.n_discarded)
+    defect = abs(paired.mean - v_min)
+    allowance = c1 * dx + c2 * math.sqrt(dt)
+    tol_used = float(tolerance) if tolerance is not None else 3.0 * paired.std_error + allowance
     passed = defect <= tol_used
     log.info(
         "identity defect %.3e vs tolerance %.3e (3*SE_paired=%.3e, c1*dx=%.3e, "
         "c2*sqrt(dt)=%.3e%s)",
-        defect, tol_used, 3.0 * se_d, c1 * dx, c2 * math.sqrt(dt_eff),
+        defect, tol_used, 3.0 * paired.std_error, c1 * dx, c2 * math.sqrt(dt),
         "; overridden" if tolerance is not None else "",
     )
-    if with_tail and tail_bound > tol_used:
+    if rate is not None and tail_bound > tol_used:
         passed = False
         notes.append(
             "the truncation tail bound exceeds the tolerance: raise "
             "truncation_T1 until e^(-rate*T1)*sup|v| is negligible"
         )
 
-    n = int(cost_arr.size)
     report = IdentityReport(
         v_at_start=v_orig,
-        cost=CostEstimate(mean=flip * mean_c, std_error=se_c, n_paths=n,
-                          discarded_diverged=discarded),
-        gap_integral=CostEstimate(mean=mean_g, std_error=se_g, n_paths=n,
-                                  discarded_diverged=discarded),
+        cost=_estimate(run.cost, run.n_discarded, sign=flip),
+        gap_integral=_estimate(run.gap, run.n_discarded),
         identity_defect=defect,
         tolerance_used=tol_used,
         passed=passed,
@@ -476,7 +450,7 @@ def _identity_run(
     )
     extra = {
         "allowance": allowance,
-        "necessity_fraction": (n_violations / n_points) if n_points else 0.0,
+        "necessity_fraction": (run.n_violations / run.n_points) if run.n_points else 0.0,
     }
     return report, extra
 
@@ -516,7 +490,7 @@ def fundamental_identity(
         )
     report, _ = _identity_run(problem, source, policy, t0, x0, sim_config,
                               until=None, c1=c1, c2=c2, tolerance=tolerance,
-                              chunk_size=chunk_size, with_tail=False)
+                              chunk_size=chunk_size)
     return report
 
 
@@ -552,7 +526,7 @@ def certify(
     """
     report, extra = _identity_run(problem, source, policy, t0, x0, sim_config,
                                   until=None, c1=c1, c2=c2, tolerance=tolerance,
-                                  chunk_size=chunk_size, with_tail=False)
+                                  chunk_size=chunk_size)
     margin = report.gap_integral.mean
     margin_tol = 3.0 * report.gap_integral.std_error + (
         float(tolerance) if tolerance is not None else extra["allowance"]
@@ -625,6 +599,5 @@ def discounted_verify(
         raise ValueError("discounted_verify requires a DiscountedInfinite horizon")
     report, _ = _identity_run(problem, closed_form, policy, 0.0, x0, sim_config,
                               until=float(truncation_T1), c1=c1, c2=c2,
-                              tolerance=tolerance, chunk_size=chunk_size,
-                              with_tail=True)
+                              tolerance=tolerance, chunk_size=chunk_size)
     return report

@@ -226,6 +226,8 @@ class TestConfigValidation:
                        "--threads", "0"])
         assert rc == 2
         assert "--threads" in capsys.readouterr().err
+        (record,) = _json_of(tmp_path / "out", "failures.json")
+        assert record == {"check": "run", "message": "--threads must be >= 1"}
 
 
 class TestConfigEcho:
@@ -590,6 +592,34 @@ class TestVerifyCommand:
 
         md = (out / "report.md").read_text()
         assert "identity check passed" in md
+
+    def test_short_truncation_names_the_tail_bound(self, tmp_path):
+        # A constant cost is matched exactly by the candidate, so the defect
+        # is round-off; only e^(-rate*T1)*sup|v| = e^-2 exceeds the tolerance.
+        cfg = _config(
+            tmp_path,
+            """\
+            [problem]
+            kind = discounted_constant
+
+            [mc]
+            paths = 50
+            dt = 0.01
+
+            [verify]
+            truncation_t1 = 2.0
+            """,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
+
+        identity = _json_of(out, "report.json")["identity"]
+        assert identity["passed"] is False
+        assert identity["identity_defect"] <= identity["tolerance_used"]
+        assert identity["tail_bound"] > identity["tolerance_used"]
+        (record,) = _json_of(out, "failures.json")
+        assert record == {"check": "verification",
+                          "message": "truncation tail bound exceeds tolerance"}
 
 
 class TestBenchmarkCommand:

@@ -175,6 +175,39 @@ class TestFeedbackPolicy:
         (record,) = caplog.records
         assert "policy" in record.message and "TypeError" in record.message
 
+    def test_first_row_answer_is_not_broadcast(self, monkeypatch, caplog):
+        # On a batch, x[0] is the first row: a size-1 result for P > 1 is
+        # ambiguous, so the map is evaluated row by row.
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        policy = FeedbackPolicy(lambda t, x: 2.0 * x[0])
+        xs = np.array([[1.0], [2.0], [3.0]])
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            out = policy.controls_at(0.0, xs, 1)
+        assert np.array_equal(out, 2.0 * xs)
+        (record,) = caplog.records
+        assert "policy" in record.message and "(1,)" in record.message
+
+    def test_flat_result_for_one_control_needs_no_fallback(self, monkeypatch, caplog):
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        calls = []
+
+        def flat(t, x):
+            calls.append(x.shape)
+            return -x[:, 0]
+
+        xs = np.array([[1.0], [-0.5], [3.0]])
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            out = FeedbackPolicy(flat).controls_at(0.0, xs, 1)
+        assert out.shape == (3, 1) and np.array_equal(out, -xs)
+        assert calls == [(3, 1)] and not caplog.records
+
+    def test_flat_result_for_two_controls_is_evaluated_per_row(self, monkeypatch):
+        # Only a missing last axis of length 1 is reshaped: (P,) is not (P, 2).
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        policy = FeedbackPolicy(lambda t, x: np.full(2, x[0]) if np.ndim(x) == 1 else x[:, 0])
+        xs = np.array([[1.0], [2.0]])
+        assert np.array_equal(policy.controls_at(0.0, xs, 2), [[1.0, 1.0], [2.0, 2.0]])
+
 
 class TestControlAdmissibility:
     def test_out_of_set_controls_projected_with_warning(self, caplog):

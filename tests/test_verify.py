@@ -105,8 +105,14 @@ class TestEstimateCost:
             running_cost=lambda t, x, z: np.zeros(x.shape[0]),
             control_set=ControlSet.finite([[0.0]]),
         )
-        with pytest.raises(RuntimeError, match="decrease dt"):
-            estimate_cost(prob, ZERO, 0.0, 0.0, SimConfig(dt=0.5, n_paths=8, seed=1))
+        cfg = SimConfig(dt=0.5, n_paths=8, seed=1)
+        zero = ClosedFormValue(lambda t, x: np.zeros(x.shape[0]), lambda t, x: np.zeros_like(x))
+        # Cost and identity estimators share one run, hence one divergence budget.
+        for estimate in (lambda: estimate_cost(prob, ZERO, 0.0, 0.0, cfg),
+                         lambda: fundamental_identity(prob, zero, ZERO, 0.0, 0.0, cfg),
+                         lambda: certify(prob, zero, ZERO, 0.0, 0.0, cfg)):
+            with pytest.raises(RuntimeError, match="decrease dt"):
+                estimate()
 
 
 class TestFundamentalIdentity:
