@@ -14,7 +14,12 @@ orientation (the gradient of the *minimize*-sense value function).
 Minimization strategy: a registered closed form wins; otherwise finite control
 sets are enumerated (vectorized over evaluation points) and box sets are
 scanned with a coarse per-axis grid at ``grid_resolution`` followed by
-golden-section refinement down to an absolute control step of 1e-8.  Unbounded
+golden-section refinement down to an absolute control step of 1e-8.  One
+golden pass settles a single control axis; with several axes the passes
+repeat in rounds of coordinate descent only while a round both moves a
+coordinate by more than that step and lowers H_cv by more than roundoff (a
+minimizer is located only to about sqrt(eps), where H_cv is flat to
+roundoff, so further rounds would only wander).  Unbounded
 axes are bracketed by geometric doubling from the finite corner; the upturn of
 H_cv is checked, never assumed, and a missing upturn after 1000 doublings
 raises (the Hamiltonian is not finite there).  The box scan runs in lockstep
@@ -43,6 +48,7 @@ __all__ = [
 ]
 
 _GOLDEN_STEP = 1e-8        # absolute control-step target of the refinement
+_ROUND_GAIN = 8 * np.finfo(float).eps  # a round that lowers H_cv by less is roundoff
 _MAX_DOUBLINGS = 1000
 _UPTURN_RUN = 3            # consecutive increases required to accept a bracket
 
@@ -177,6 +183,9 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
     U = prob.control_set
     if U.kind == "finite":
         pts = U.points  # lexicographically sorted at construction
+        if pts.shape[0] == 1:  # nothing to choose from: H0 is the one H_cv
+            vals = _h_cv(prob, t, xs, ps, np.broadcast_to(pts[0], (P, k)))
+            return vals, np.repeat(pts, P, axis=0), "scan"
         all_vals = np.empty((pts.shape[0], P))
         for j, zj in enumerate(pts):
             zb = np.broadcast_to(zj, (P, k))
@@ -236,25 +245,32 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
     vmin = np.nanmin(vals, axis=1, keepdims=True)
     best = np.argmax(vals <= vmin + 1e-12 * (1.0 + np.abs(vmin)), axis=1)  # first in grid order
     z = grid[np.arange(P), best]
+    h = vals[np.arange(P), best]
     cell = (hi - lo) / (res - 1)
 
-    # Coordinate-wise golden-section refinement around the best cell, until a
-    # row's round moves no coordinate by more than the control step.
+    # Coordinate-wise golden-section refinement around the best cell.  One
+    # pass settles a single axis.  With several, a row goes on to another
+    # round only while its last one both moved a coordinate by more than the
+    # control step and lowered H_cv by more than roundoff; an axis's next
+    # bracket shrinks by 4 but stays twice as wide as its last move, so a
+    # coupled valley is followed, not cut off.
     rows = np.arange(P)
-    for _ in range(100):
-        moved = np.zeros(rows.size)
+    for _ in range(1 if k == 1 else 100):
+        before, step = h[rows], np.empty((rows.size, k))
         for j in range(k):
             zr = z[rows]
             a = np.maximum(lo[rows, j], zr[:, j] - cell[rows, j])
             b = np.minimum(hi[rows, j], zr[:, j] + cell[rows, j])
-            zj = _golden(prob, t, xs[rows], ps[rows], zr, j, a, b)
-            moved = np.fmax(moved, np.abs(zj - zr[:, j]))
+            zj, h[rows] = _golden(prob, t, xs[rows], ps[rows], zr, j, a, b)
+            step[:, j] = np.abs(zj - zr[:, j])
             z[rows, j] = zj
-        cell[rows] = np.maximum(cell[rows] / 4.0, _GOLDEN_STEP)
-        rows = rows[moved > _GOLDEN_STEP]
+        cell[rows] = np.maximum(np.maximum(cell[rows] / 4.0, 2.0 * step), _GOLDEN_STEP)
+        after = h[rows]
+        descent = before - after > _ROUND_GAIN * (1.0 + np.abs(after))
+        rows = rows[(step.max(axis=1) > _GOLDEN_STEP) & descent]
         if rows.size == 0:
             break
-    return _h_cv(prob, t, xs, ps, z), z
+    return h, z
 
 
 def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
@@ -300,8 +316,11 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
 
 
 def _golden(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,
-            axis: int, a: np.ndarray, b: np.ndarray, tol: float = _GOLDEN_STEP) -> np.ndarray:
+            axis: int, a: np.ndarray, b: np.ndarray,
+            tol: float = _GOLDEN_STEP) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minimum along ``axis`` of every row, to absolute width ``tol``.
+
+    Returns the (P,) minimizing coordinates and the H_cv values there.
 
     Row i searches [a[i], b[i]] with its other coordinates fixed at z[i]; the
     rows step in lockstep, each until its own bracket is narrow enough or
@@ -343,7 +362,8 @@ def _golden(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: n
     candidates = np.stack([0.5 * (a + b), a0, b0])
     values = fn(np.tile(xs, (3, 1)), np.tile(ps, (3, 1)), np.tile(z, (3, 1)),
                 candidates.ravel()).reshape(3, -1)
-    return candidates[np.argmin(values, axis=0), np.arange(a.size)]
+    pick = np.argmin(values, axis=0), np.arange(a.size)
+    return candidates[pick], values[pick]
 
 
 def _clamped_gap(raw: np.ndarray, h0: np.ndarray) -> np.ndarray:

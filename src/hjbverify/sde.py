@@ -70,24 +70,38 @@ def _stream_uniforms(seed: int, n_paths: int, path_offset: int, rows, start: int
     Philox4x64 turns one counter value into four outputs, so position ``start``
     is reached by setting the counter to ``start // 4`` (the generator
     increments it before its first block); a single generator is re-keyed for
-    every path instead of building one per path.
+    every path instead of building one per path.  Each raw draw's top 53 bits
+    k become the double k·2⁻⁵³ (``Generator.random``), shifted by
+    :func:`_open_unit`.
     """
     rows = np.arange(n_paths) if rows is None else np.asarray(rows)
     if rows.shape != (n_paths,):
         raise ValueError(f"rows has shape {rows.shape}, expected ({n_paths},)")
     gen = np.random.Philox(0)
+    draw = np.random.Generator(gen).random
     state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     skip = start % 4
-    raw = np.empty((n_paths, count), dtype=np.uint64)
+    u = np.empty((n_paths, count))
     for j, row in enumerate(rows):
         state["state"] = {"counter": [start // 4, 0, 0, 0],
                           "key": [seed & _MASK64, (path_offset + int(row) + tag) & _MASK64]}
         gen.state = state
-        raw[j] = gen.random_raw(skip + count)[skip:]
-    u = (raw >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+        if skip:
+            gen.random_raw(skip)
+        draw(out=u[j])
+    return _open_unit(u)
+
+
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Map uniforms k·2⁻⁵³ on [0, 1) to the midpoints (k + ½)·2⁻⁵³, in place.
+
+    The sum rounds as ``(k + 0.5)·2⁻⁵³`` does.  Only k = 2⁵³ − 1 would round
+    up to 1.0, where the inverse normal CDF is +inf; it is clamped to the
+    largest double below 1, so every result lies in (0, 1).
+    """
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return u
 
 

@@ -16,7 +16,8 @@ from hjbverify import (
     make_exit_demo,
     minimize,
 )
-from hjbverify.hamiltonian import _minimize_batch
+from hjbverify import hamiltonian
+from hjbverify.hamiltonian import _h_cv, _minimize_batch
 
 
 def _linear_drift_problem(control_set, cost=None, sense="minimize"):
@@ -92,6 +93,17 @@ class TestMinimize:
         ev = minimize(prob, 0.0, 0.0, 0.0)   # both points give H_cv = 1
         assert ev.argmin == -1.0
 
+    def test_one_point_set_returns_its_h_cv(self):
+        prob = _linear_drift_problem(ControlSet.finite([[0.5, -2.0]]),
+                                     cost=lambda t, x, z: x[:, 0] * z[:, 1] ** 2)
+        xs, ps = np.linspace(-1.0, 1.0, 7)[:, None], np.linspace(3.0, -3.0, 7)[:, None]
+        values, argmins, method = _minimize_batch(prob, 0.2, xs, ps)
+        zs = np.tile([0.5, -2.0], (7, 1))
+        assert method == "scan" and np.array_equal(argmins, zs)
+        assert np.array_equal(values, _h_cv(prob, 0.2, xs, ps, zs))
+        argmins[0, 0] = 9.0  # a fresh array, not a view of the set's points
+        assert np.array_equal(prob.control_set.points, [[0.5, -2.0]])
+
     def test_two_dimensional_control_box(self):
         U = ControlSet.box([-1.0, -1.0], [1.0, 1.0])
         prob = _linear_drift_problem(
@@ -160,6 +172,18 @@ def _k2_argmin(x, p):
     return np.column_stack([np.clip(0.3 * x - p / 2, -1.0, 1.0), -x - p / 2])
 
 
+_VALLEY_C = 0.7
+
+
+def _valley_cost(u, v):
+    return u * u + v * v + 2.0 * _VALLEY_C * u * v
+
+
+def _valley_argmin(x, p):
+    s = -p / (2.0 * (1.0 + _VALLEY_C))
+    return np.column_stack([x + s, s - x])
+
+
 _CORPUS = {
     # (z - x)^2 on [-1, 2]: interior and clipped minimizers.
     "bounded": (ControlSet.box([-1.0], [2.0]), lambda t, x, z: (z[:, 0] - x[:, 0]) ** 2,
@@ -183,6 +207,12 @@ _CORPUS = {
     "k2": (ControlSet.box([-1.0, -np.inf], [1.0, np.inf]),
            lambda t, x, z: (z[:, 0] - 0.3 * x[:, 0]) ** 2 + (z[:, 1] + x[:, 0]) ** 2,
            (-1.0, 1.0), (-2.0, 2.0), _k2_argmin),
+    # k = 2, coupled: u² + v² + 2c·u·v in u = z0 - x, v = z1 + x, Hessian
+    # eigenvalues 1 ± c.  Coordinate descent shrinks the error only by c² per
+    # round, so this valley needs about twenty rounds.
+    "valley": (ControlSet.box([-np.inf, -np.inf], [np.inf, np.inf]),
+               lambda t, x, z: _valley_cost(z[:, 0] - x[:, 0], z[:, 1] + x[:, 0]),
+               (-1.0, 1.0), (-2.0, 2.0), _valley_argmin),
 }
 
 
@@ -227,6 +257,24 @@ class TestBoxScanCorpus:
         # An argmin is resolved to ~sqrt(eps·|H0|) by the curvature-1
         # minimum, hence relative to its size (z* reaches 800 here).
         assert np.all(np.abs(argmins - zstar) <= 1e-7 * (1.0 + np.abs(zstar)))
+
+    @pytest.mark.parametrize("name", sorted(_CORPUS))
+    def test_refinement_stops_once_converged(self, name, monkeypatch):
+        # One golden pass settles a single axis; the separable k2 is done
+        # after a second round that finds nothing left to gain.
+        passes = []
+        golden = hamiltonian._golden
+        monkeypatch.setattr(hamiltonian, "_golden",
+                            lambda *a, **kw: passes.append(a[5]) or golden(*a, **kw))
+        prob, xs, ps, _ = _corpus(name)
+        _minimize_batch(prob, _T, xs, ps)
+        k = prob.control_dimension
+        if name == "valley":
+            assert 10 <= len(passes) // k < 100  # many rounds, but converged
+        elif k == 1:
+            assert passes == [0]
+        else:
+            assert passes in ([0, 1], [0, 1, 0, 1])
 
     def test_flat_hamiltonian_is_zero(self):
         prob, xs, ps, _ = _corpus("flat")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from hjbverify import _util
 from hjbverify import (
@@ -23,7 +24,7 @@ from hjbverify import (
     simulate,
     simulate_chunks,
 )
-from hjbverify.sde import _bridge_uniforms
+from hjbverify.sde import _bridge_uniforms, _open_unit, _stream_uniforms
 
 ZERO = ConstantPolicy(0.0)
 
@@ -114,6 +115,25 @@ class TestReproducibility:
             assert np.array_equal(dw, full[rows, first:first + size])
             u = _bridge_uniforms(21, 4, size, path_offset=2, rows=rows - 2, first_step=first)
             assert np.array_equal(u, full_u[rows, first:first + size])
+
+    @pytest.mark.parametrize("start", [0, 5, 7])
+    def test_uniforms_are_the_midpoints_of_the_raw_philox_draws(self, start):
+        # Position i of path r's stream is ((raw_i >> 11) + 0.5)·2⁻⁵³ with
+        # raw the Philox4x64 output keyed (seed, r), counter from 0.
+        rows = np.array([0, 3])
+        u = _stream_uniforms(9, 2, 40, rows, start, 6)
+        for j, r in enumerate(rows):
+            gen = np.random.Philox(key=[9, 40 + r])
+            raw = gen.random_raw(start + 6)[start:]
+            want = ((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+            assert np.array_equal(u[j], want)
+
+    def test_top_uniform_stays_below_one(self):
+        # k = 2⁵³ − 1 gives k + ½ = 2⁵³ − ½, which rounds to 2⁵³: a "uniform"
+        # of exactly 1.0, an infinite Gaussian and a path counted as diverged.
+        u = _open_unit(np.array([1.0 - 2.0**-53, 0.0, 0.5]))
+        assert u[0] == np.nextafter(1.0, 0.0) and u[1] == 2.0**-54 and u[2] == 0.5 + 2.0**-54
+        assert np.all(np.isfinite(ndtri(u)))
 
     def test_streamed_batches_store_no_path_tensors(self, exit_time_problem):
         cfg = SimConfig(dt=0.01, n_paths=30, seed=4, exit_rule="brownian_bridge")
