@@ -101,7 +101,7 @@ def _w(params: AdvertisingParams, t) -> np.ndarray:
     kappa = params.gamma / params.eta  # < 0 under the validity condition
     t = np.asarray(t, dtype=float)
     w = (1.0 + 1.0 / kappa) * np.exp(kappa * (t - T)) - 1.0 / kappa
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         bad = np.min(np.where(w <= 0.0, t, np.inf))
         raise ValueError(
             f"advertising coefficient a(t) is not defined at t = {bad:g}: the "
@@ -114,7 +114,7 @@ def _w(params: AdvertisingParams, t) -> np.ndarray:
 def advertising_coefficients(params: AdvertisingParams, t):
     """Closed-form (a(t), b(t)); vectorized over t."""
     t = np.asarray(t, dtype=float)
-    if np.any(t > params.horizon + 1e-12) or np.any(t < -1e-12):
+    if (t > params.horizon + 1e-12).any() or (t < -1e-12).any():
         raise ValueError(f"t must lie in [0, {params.horizon}], got range "
                          f"[{np.min(t):g}, {np.max(t):g}]")
     a = _w(params, t) ** (-params.eta)

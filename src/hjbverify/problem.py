@@ -119,7 +119,9 @@ class ControlSet:
         """Membership test, batched; tolerance absorbs roundoff."""
         zb, single = as_point_batch(z, self.dimension)
         if self.kind == "box":
-            ok = np.all((zb >= self.lower - tol) & (zb <= self.upper + tol), axis=1)
+            ok = ((zb >= self.lower - tol) & (zb <= self.upper + tol)).all(axis=1)
+        elif self.points.shape[0] == 1:
+            ok = ((zb - self.points[0]) ** 2).sum(axis=1) <= tol * tol
         else:
             d2 = np.min(np.sum((zb[:, None, :] - self.points[None]) ** 2, axis=2), axis=1)
             ok = d2 <= tol * tol

@@ -53,6 +53,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+_TILE_DRAWS = 1 << 15  # draws per tile of _stream_uniforms (256 KiB, cache-sized)
 _BRIDGE_TAG = 1 << 63  # high bit of the second key word marks the bridge substream
 
 
@@ -70,27 +71,38 @@ def _stream_uniforms(seed: int, n_paths: int, path_offset: int, rows, start: int
     Philox4x64 turns one counter value into four outputs, so position ``start``
     is reached by setting the counter to ``start // 4`` (the generator
     increments it before its first block); a single generator is re-keyed for
-    every path instead of building one per path.  Each raw draw's top 53 bits
-    k become the double k·2⁻⁵³ (``Generator.random``), shifted by
-    :func:`_open_unit`.
+    every path instead of building one per path, by rewriting the path word
+    of one prebuilt state's key.  Each raw draw's top 53 bits k become the
+    double k·2⁻⁵³ (``Generator.random``), shifted by :func:`_open_unit`.
+
+    The result is the transpose of a C-ordered (count, n_paths) array, so one
+    position of every path (one Euler step's draws) is contiguous in memory.
+    Each path's stream is drawn into a row of a small tile, which is copied
+    transposed into place.
     """
     rows = np.arange(n_paths) if rows is None else np.asarray(rows)
     if rows.shape != (n_paths,):
         raise ValueError(f"rows has shape {rows.shape}, expected ({n_paths},)")
     gen = np.random.Philox(0)
     draw = np.random.Generator(gen).random
-    state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    skip = start % 4
-    u = np.empty((n_paths, count))
-    for j, row in enumerate(rows):
-        state["state"] = {"counter": [start // 4, 0, 0, 0],
-                          "key": [seed & _MASK64, (path_offset + int(row) + tag) & _MASK64]}
-        gen.state = state
-        if skip:
-            gen.random_raw(skip)
-        draw(out=u[j])
-    return _open_unit(u)
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    base, skip = path_offset + tag, start % 4
+    u = np.empty((count, n_paths))
+    tile = np.empty((min(n_paths, max(1, _TILE_DRAWS // count)), count))
+    keys = rows.tolist()
+    for lo in range(0, n_paths, tile.shape[0]):
+        block = keys[lo:lo + tile.shape[0]]
+        for j, row in enumerate(block):
+            key[1] = (base + row) & _MASK64
+            gen.state = state  # the setter copies the values; the dict is reused
+            if skip:
+                gen.random_raw(skip)
+            draw(out=tile[j])
+        u[:, lo:lo + len(block)] = tile[:len(block)].T
+    return _open_unit(u).T
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -363,11 +375,13 @@ def simulate_chunks(
         lo = hi
 
 
-# Noise is drawn in blocks of steps for the paths live at the block's start.
-# The first block has _FIRST_BLOCK steps and each later one twice as many, up
-# to _BLOCK_DRAWS draws per block: a path that exits early leaves few unused
-# draws, and a long-lived one re-keys its stream rarely.  Block lengths are
-# multiples of 4, so every block starts on a Philox counter boundary.
+# Noise is drawn in blocks of steps for the paths live at the block's start,
+# at most _BLOCK_DRAWS draws per block.  With a domain, the first block has
+# _FIRST_BLOCK steps and each later one twice as many, so a path that exits
+# early leaves few unused draws and a long-lived one re-keys its stream
+# rarely.  Without a domain no path exits, so every block is as long as the
+# cap allows from the start.  Block lengths are multiples of 4, so every
+# block starts on a Philox counter boundary.
 _FIRST_BLOCK = 16
 _BLOCK_DRAWS = 1 << 19
 
@@ -435,7 +449,7 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
     sdl = domain.signed_distance(xl) if domain is not None else None
     n_projected = n_evaluated = 0
     block_start = block_end = 0
-    block_len = _FIRST_BLOCK
+    block_len = _FIRST_BLOCK if domain is not None else n_steps
 
     for i in range(n_steps):
         if live.size == 0 and not store:
@@ -462,10 +476,10 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
         ok = problem.control_set.contains(z)
         if not ok.all():
             z = np.where(ok[:, None], z, np.asarray(problem.control_set.project(z)))
+            n_projected += live.size - int(np.count_nonzero(ok[live] if store else ok))
         if store:
             controls[:, i] = z
-            ok, z = ok[live], z[live]
-        n_projected += live.size - int(np.count_nonzero(ok))
+            z = z[live]
         n_evaluated += live.size
 
         if live.size:
@@ -545,20 +559,24 @@ def _step_exits(domain: Domain, x_left: np.ndarray, x_right: np.ndarray,
     boundary).  Otherwise, when bridge uniforms ``u`` are given, a step that
     starts inside exits if ``u < exp(-2 d_l d_r / (σ² dt))`` with
     ``σ² = sigma2 > 0`` (Brownian bridge; the exit state is ``x_left``
-    projected).  Returns the exit mask and the exit states (nan elsewhere).
+    projected).  Returns the exit mask and the exit states (nan elsewhere),
+    or ``None`` for the states when no row exits.
     """
-    crossed = sd_right >= 0.0
-    fired = np.zeros_like(crossed)
+    crossed = hit = sd_right >= 0.0
+    fired = None
     if u is not None:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             pcross = np.exp(-2.0 * sd_left * sd_right / (sigma2 * dt))
         fired = ~crossed & (sd_left < 0.0) & (sigma2 > 0.0) & (u < pcross)
+        hit = crossed | fired
+    if not hit.any():  # the usual step: no exit state to build
+        return hit, None
     states = np.full(x_right.shape, np.nan)
     if crossed.any():
         states[crossed] = domain.project_to_boundary(x_right[crossed])
-    if fired.any():
+    if fired is not None and fired.any():
         states[fired] = domain.project_to_boundary(x_left[fired])
-    return crossed | fired, states
+    return hit, states
 
 
 def detect_exit(

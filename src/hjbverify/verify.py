@@ -214,10 +214,13 @@ class _Integrand:
             return
         if self.bounds is not None:
             self.escaped[rows] |= (x[:, 0] < self.bounds[0]) | (x[:, 0] > self.bounds[1])
-        p = self.flip * np.asarray(self.source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        p = np.asarray(self.source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        if self.flip != 1.0:
+            p = self.flip * p
         hcv = np.einsum("pn,pn->p", f1, p) + ell
         h0, _, _ = _minimize_batch(self.prob, t, x, p)
-        g = _clamped_gap(hcv - h0, h0)
+        hcv -= h0
+        g = _clamped_gap(hcv, h0)
         self.gap[rows] += self.w[i] * g
         self.violations[rows] += g > self.point_tol
 

@@ -676,6 +676,54 @@ class TestBenchmarkCommand:
         for name in ("config.ini", "coefficients.csv", "values.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_self_checks_match_the_scalar_loop(self):
+        # The closed forms are evaluated on whole sample arrays; this is the
+        # one-point-at-a-time loop they replaced.  Array and scalar NumPy
+        # kernels may differ by an ulp; the finite-difference stencils
+        # (coefficient sum 18, divided by 12h = 0.012) turn an ulp of
+        # |v|, |a|, |b| <= 12 into about 3e-12, hence the 1e-10 bound.
+        from hjbverify import benchmarks as bm
+        from hjbverify.hamiltonian import _minimize_batch
+        from hjbverify.problem import canonicalize
+
+        params = AdvertisingParams()
+        eta, alpha, beta, T = params.eta, params.alpha, params.beta, params.horizon
+        got = cli._benchmark_checks(params)
+
+        h = 1e-3 * T
+        tt = np.linspace(2 * h, T - 2 * h, 1000)
+
+        def coeffs(t):
+            return np.array([bm.advertising_coefficients(params, float(u)) for u in t])
+
+        d = (-coeffs(tt + 2 * h) + 8 * coeffs(tt + h) - 8 * coeffs(tt - h)
+             + coeffs(tt - 2 * h)) / (12 * h)
+        ab = coeffs(tt)
+        res_a = d[:, 0] + params.gamma * ab[:, 0] + eta * ab[:, 0] ** (1.0 + 1.0 / eta)
+        res_b = d[:, 1] - params.gamma * ab[:, 1]
+        ode = max(np.max(np.abs(res_a)), np.max(np.abs(res_b)))
+
+        rng = np.random.default_rng(0)
+        t_s = rng.uniform(2 * h, T - 2 * h, 10_000)
+        x_s = rng.uniform(0.05, 5.0, 10_000)
+        prob_min = canonicalize(bm.make_advertising_problem(params))
+        pde = 0.0
+        for t, x in zip(t_s.tolist(), x_s.tolist()):
+            v_t = (-bm.advertising_value(params, t + 2 * h, x)
+                   + 8 * bm.advertising_value(params, t + h, x)
+                   - 8 * bm.advertising_value(params, t - h, x)
+                   + bm.advertising_value(params, t - 2 * h, x)) / (12 * h)
+            a, _ = bm.advertising_coefficients(params, t)
+            v_x = float(bm.advertising_gradient(params, t, x))
+            v_xx = eta * (1.0 + eta) * a * x ** (eta - 1.0)
+            h0, _, _ = _minimize_batch(prob_min, t, np.array([[x]]), np.array([[-v_x]]))
+            pde = max(pde, abs(v_t + 0.5 * beta ** 2 * x ** 2 * v_xx - alpha * x * v_x
+                               - float(h0[0])))
+
+        assert got["ode_residual_sup"] == pytest.approx(ode, abs=1e-10)
+        assert got["pde_residual_sup"] == pytest.approx(pde, abs=1e-10)
+        assert (got["a_at_0"], got["b_at_0"]) == bm.advertising_coefficients(params, 0.0)
+
     def test_invalid_parameters_exit_2(self, tmp_path):
         out = tmp_path / "out"
         rc = cli.main(["benchmark", "advertising", "--out", str(out),

@@ -1,5 +1,8 @@
 """Hamiltonian evaluation, minimization, duality gaps, feedback maps."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +278,24 @@ class TestBoxScanCorpus:
             assert passes == [0]
         else:
             assert passes in ([0, 1], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("c, warns", [(_VALLEY_C, False), (0.99, True)])
+    def test_round_cap_warns_once_with_the_row_count(self, c, warns, caplog):
+        # At c = 0.99 coordinate descent contracts by only c² ≈ 0.98 per
+        # round, so rows are still descending after the 100-round cap.
+        prob, xs, ps, _ = _corpus("valley")
+        prob = _linear_drift_problem(prob.control_set, cost=lambda t, x, z: (
+            (z[:, 0] - x[:, 0]) ** 2 + (z[:, 1] + x[:, 0]) ** 2
+            + 2.0 * c * (z[:, 0] - x[:, 0]) * (z[:, 1] + x[:, 0])))
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            _minimize_batch(prob, _T, xs, ps)
+        records = [r for r in caplog.records if r.name == "hjbverify.hamiltonian"]
+        if not warns:
+            assert records == []
+            return
+        (record,) = records
+        capped = int(re.search(r"(\d+) of 64 rows", record.getMessage()).group(1))
+        assert 0 < capped <= _ROWS and "100 rounds" in record.getMessage()
 
     def test_flat_hamiltonian_is_zero(self):
         prob, xs, ps, _ = _corpus("flat")

@@ -18,6 +18,7 @@ from hjbverify import (
     FiniteHorizon,
     Grid1D,
     SimConfig,
+    advertising_feedback,
     advertising_value,
     certify,
     discounted_demo_solution,
@@ -452,3 +453,33 @@ def test_discounted_verify_memory_does_not_grow_with_the_horizon(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("case", ["advertising", "exit_bridge"])
+def test_certificate_does_not_depend_on_the_noise_block_schedule(case, monkeypatch, adv_params,
+                                                                 adv_problem, adv_solution,
+                                                                 exit_time_problem):
+    # Noise positions are fixed per (seed, path, step); how many steps a
+    # block draws is not part of the contract.  Advertising has no domain,
+    # so its blocks start at the cap; the exit problem's start short and
+    # double, and its bridge uniforms are drawn in the same blocks.
+    if case == "advertising":
+        args = (adv_problem, adv_solution,
+                FeedbackPolicy(lambda t, x: advertising_feedback(adv_params, t, x[:, 0])[:, None]),
+                0.0, 2.0, SimConfig(dt=0.01, n_paths=64, seed=5))
+    else:
+        args = (exit_time_problem, _exit_field(), ZERO, 0.0, 0.5,
+                SimConfig(dt=0.01, n_paths=64, seed=5, exit_rule="brownian_bridge"))
+    blocks = []  # the steps of each noise block, per run
+    draw = sde.gaussian_increments
+    monkeypatch.setattr(sde, "gaussian_increments",
+                        lambda *a, **kw: blocks[-1].append(a[2]) or draw(*a, **kw))
+    blocks.append([])
+    default = repr(certify(*args, necessity_scan=True))
+    monkeypatch.setattr(sde, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(sde, "_BLOCK_DRAWS", 1 << 10)
+    blocks.append([])
+    assert repr(certify(*args, necessity_scan=True)) == default
+    # Default: one 100-step block without a domain, 16 steps first with one.
+    assert blocks[0][0] == (100 if case == "advertising" else 16)
+    assert blocks[1][0] == (16 if case == "advertising" else 4) and len(blocks[1]) > len(blocks[0])
