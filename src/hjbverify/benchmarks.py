@@ -251,6 +251,19 @@ def make_advertising_problem(params: AdvertisingParams) -> ControlProblem:
     )
 
 
+# dy = dW, with no control effect: the dynamics of the exit and discounted demos.
+def _zero_drift(t, x):
+    return np.zeros_like(x)
+
+
+def _zero_controlled_drift(t, x, z):
+    return np.zeros_like(x)
+
+
+def _unit_diffusion(t, x):
+    return np.ones(x.shape + (1,))
+
+
 def make_exit_demo(
     kind: str = "expected_exit_time",
     constant_value: float = 1.0,
@@ -268,15 +281,6 @@ def make_exit_demo(
     if kind not in ("constant", "expected_exit_time"):
         raise ValueError(f"unknown exit demo kind {kind!r}")
     T = horizon if horizon is not None else (1.0 if kind == "constant" else 3.0)
-
-    def drift_uncontrolled(t, x):
-        return np.zeros_like(x)
-
-    def drift_controlled(t, x, z):
-        return np.zeros_like(x)
-
-    def diffusion(t, x):
-        return np.ones(x.shape + (1,))
 
     if kind == "constant":
         c = float(constant_value)
@@ -303,9 +307,9 @@ def make_exit_demo(
         dimension=1,
         noise_dimension=1,
         horizon=FiniteHorizon(T, terminal_cost),
-        drift_uncontrolled=drift_uncontrolled,
-        drift_controlled=drift_controlled,
-        diffusion=diffusion,
+        drift_uncontrolled=_zero_drift,
+        drift_controlled=_zero_controlled_drift,
+        diffusion=_unit_diffusion,
         control_set=ControlSet.finite([[0.0]]),
         running_cost=running_cost,
         domain=Domain.interval(0.0, 1.0),
@@ -349,15 +353,6 @@ def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem
         raise ValueError(f"discount rate must be positive, got {rate}")
     c = float(cost)
 
-    def drift_uncontrolled(t, x):
-        return np.zeros_like(x)
-
-    def drift_controlled(t, x, z):
-        return np.zeros_like(x)
-
-    def diffusion(t, x):
-        return np.ones(x.shape + (1,))
-
     def running_cost(x, z):
         return np.full(x.shape[:-1], c)
 
@@ -369,9 +364,9 @@ def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem
         dimension=1,
         noise_dimension=1,
         horizon=DiscountedInfinite(rate=float(rate), running_cost=running_cost),
-        drift_uncontrolled=drift_uncontrolled,
-        drift_controlled=drift_controlled,
-        diffusion=diffusion,
+        drift_uncontrolled=_zero_drift,
+        drift_controlled=_zero_controlled_drift,
+        diffusion=_unit_diffusion,
         control_set=ControlSet.finite([[0.0]]),
         sense="minimize",
         closed_form_hamiltonian=closed_form_hamiltonian,

@@ -62,8 +62,8 @@ class ControlSet:
       (``+inf``/``-inf`` entries).
     * ``"finite"`` — an explicit list of points.
 
-    ``grid_resolution`` is the number of scan points per axis used by the
-    Hamiltonian minimizer's coarse stage.
+    ``grid_resolution`` is the number of scan points per axis of a box set
+    in the Hamiltonian minimizer's coarse stage.
     """
 
     kind: str
@@ -106,8 +106,8 @@ class ControlSet:
         return cls(kind="box", lower=lower, upper=upper, grid_resolution=grid_resolution)
 
     @classmethod
-    def finite(cls, points, grid_resolution: int = 33) -> "ControlSet":
-        return cls(kind="finite", points=points, grid_resolution=grid_resolution)
+    def finite(cls, points) -> "ControlSet":
+        return cls(kind="finite", points=points)
 
     @property
     def dimension(self) -> int:

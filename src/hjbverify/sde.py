@@ -17,17 +17,17 @@ contract.  The step loop draws noise in blocks of steps, only for the paths
 still live at the block's start: a path that has exited or diverged draws
 nothing more, and positions it never reaches are simply never computed.
 
-Paths halt at their exit step: states are frozen afterwards, and the stored
-state *at* the exit step is the raw Euler point (so the update recurrence can
-be replayed exactly up to and including the exit step).  There is one step
-loop: :func:`simulate` runs it storing the path tensors; verification runs it
-through :func:`simulate_chunks` with a per-step integrand, storing nothing.
+Paths halt at their exit step: the state *at* the exit step is the raw Euler
+point (so the update recurrence can be replayed exactly up to and including
+the exit step); a stopped path keeps its end state and last applied control.
+The one step loop calls the policy and coefficients on live rows only; the
+estimators run it with a summing integrand, :func:`simulate` a recording one.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -248,8 +248,10 @@ class PathBatch:
     """A batch of simulated paths on a shared uniform time grid.
 
     ``exit_step[p] == -1`` means path p never exited (likewise
-    ``diverged_step``); a path's state is frozen from its exit/divergence step
-    onward, and ``end_state`` holds every path's state at the last time.
+    ``diverged_step``).  ``end_state`` holds every path's state at the last
+    time; the policy is called on live rows only, so a path stopped at step s
+    (exit or divergence) stores ``end_state`` at steps ≥ s and repeats its
+    last applied control ``controls[p, s-1]`` after it.
     ``path_offset`` is the global index of the first path (chunked
     simulations of the same seed tile the same global stream).
 
@@ -340,9 +342,31 @@ def simulate(
     it is the truncation time).  ``path_range=(lo, hi)`` simulates only the
     global path indices [lo, hi) — used for chunking; results for a given
     global index are identical no matter how the range is split.  The batch
-    stores the path tensors, so its memory is O(paths × steps).
+    stores the path tensors (memory O(paths × steps)), recorded on live rows
+    only: the policy never sees a stopped path (see :class:`PathBatch`).
     """
-    return _euler(problem, _as_policy(policy), t0, x0, config, until, path_range, None)
+    n, k = problem.dimension, problem.control_dimension
+    tensors = []
+
+    def record(P, times, dt):
+        tensors[:] = np.empty((P, times.size, n)), np.empty((P, times.size - 1, k))
+
+        def step(i, t, rows, x, z, f1):
+            tensors[0][rows, i], tensors[1][rows, i] = x, z
+        return step
+
+    batch = _euler(problem, _as_policy(policy), t0, x0, config, until, path_range, record)
+    (states, controls), n_steps = tensors, batch.n_steps
+    stop = np.maximum(batch.exit_step, batch.diverged_step)  # at most one is set
+    stop[stop < 0] = n_steps
+    after = np.arange(n_steps + 1) >= stop[:, None]
+    np.copyto(states, batch.end_state[:, None], where=after[:, :, None])
+    last = np.take_along_axis(controls, stop[:, None, None] - 1, axis=1)
+    np.copyto(controls, last, where=after[:, :-1, None])
+    dW = gaussian_increments(config.seed, batch.n_paths, n_steps, problem.noise_dimension,
+                             batch.dt, path_offset=batch.path_offset)
+    return replace(batch, states=states, controls=controls, brownian_increments=dW,
+                   integrand=None)
 
 
 def simulate_chunks(
@@ -371,7 +395,8 @@ def simulate_chunks(
     lo = 0
     while lo < config.n_paths:
         hi = min(lo + chunk_size, config.n_paths)
-        yield _euler(problem, policy, t0, x0, config, until, (lo, hi), integrand)
+        yield (simulate(problem, policy, t0, x0, config, until, (lo, hi)) if integrand is None
+               else _euler(problem, policy, t0, x0, config, until, (lo, hi), integrand))
         lo = hi
 
 
@@ -388,12 +413,10 @@ _BLOCK_DRAWS = 1 << 19
 
 def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
            until: float | None, path_range: tuple[int, int] | None, integrand) -> PathBatch:
-    """The Euler-Maruyama step loop; stores the path tensors iff ``integrand`` is None.
+    """The Euler-Maruyama step loop, run with ``integrand`` as in :func:`simulate_chunks`.
 
-    Only live rows (not exited, not diverged) advance, call the coefficients
-    and consume noise; the loop stops once none is live.  When storing, the
-    policy is still evaluated on every row, so the stored controls of a dead
-    path are those at its frozen state.
+    Only live rows (not exited, not diverged) draw noise, call the policy
+    and the coefficients and advance; the loop stops once none is live.
     """
     if isinstance(problem.horizon, FiniteHorizon):
         end = float(until) if until is not None else problem.horizon.terminal_time
@@ -428,17 +451,9 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
             raise ValueError("the brownian_bridge exit rule is only defined for 1-d domains")
     bridge = domain is not None and config.exit_rule == "brownian_bridge"
 
-    store = integrand is None
     times = t0 + dt * np.arange(n_steps + 1)
     x = np.repeat(x_start, P, axis=0)  # a live row's entry is written back when it stops
-    states = controls = dW_all = step = None
-    if store:
-        states = np.empty((P, n_steps + 1, n))
-        controls = np.empty((P, n_steps, k))
-        dW_all = np.empty((P, n_steps, m))
-        states[:, 0] = x_start[0]
-    else:
-        step = integrand(P, times, dt)
+    step = integrand(P, times, dt)
     exit_step = np.full(P, -1, dtype=np.int64)
     exit_time = np.full(P, np.nan)
     exit_state = np.full((P, n), np.nan)
@@ -452,78 +467,67 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
     block_len = _FIRST_BLOCK if domain is not None else n_steps
 
     for i in range(n_steps):
-        if live.size == 0 and not store:
+        if live.size == 0:
             break
         if i == block_end:
-            drawn = np.arange(P) if store else live
-            cap = max(4, _BLOCK_DRAWS // (drawn.size * m) // 4 * 4)
+            cap = max(4, _BLOCK_DRAWS // (live.size * m) // 4 * 4)
             block_start, size = i, min(block_len, cap, n_steps - i)
             block_end, block_len = i + size, 2 * block_len
-            dW = gaussian_increments(config.seed, drawn.size, size, m, dt,
-                                     path_offset=lo, rows=drawn, first_step=i)
+            dW = gaussian_increments(config.seed, live.size, size, m, dt,
+                                     path_offset=lo, rows=live, first_step=i)
             if bridge:
-                bridge_u = _bridge_uniforms(config.seed, drawn.size, size,
-                                            path_offset=lo, rows=drawn, first_step=i)
-            if store:
-                dW_all[:, i:block_end] = dW
-            slot = live.copy() if store else np.arange(live.size)
+                bridge_u = _bridge_uniforms(config.seed, live.size, size,
+                                            path_offset=lo, rows=live, first_step=i)
+            slot = np.arange(live.size)
         j = i - block_start
         # While every drawn row is live, a column view replaces the gather.
         rows = slice(None) if slot.size == dW.shape[0] else slot
         t = float(times[i])
 
-        z = np.asarray(policy.controls_at(t, x if store else xl, k), dtype=float)
+        z = np.asarray(policy.controls_at(t, xl, k), dtype=float)
         ok = problem.control_set.contains(z)
         if not ok.all():
             z = np.where(ok[:, None], z, np.asarray(problem.control_set.project(z)))
-            n_projected += live.size - int(np.count_nonzero(ok[live] if store else ok))
-        if store:
-            controls[:, i] = z
-            z = z[live]
+            n_projected += live.size - int(np.count_nonzero(ok))
         n_evaluated += live.size
 
-        if live.size:
-            f0 = problem.f0(t, xl)
-            f1 = problem.f1(t, xl, z)
-            drift = f0 + f1
-            diff = problem.diff(t, xl)
-            if step is not None:
-                step(i, t, live, xl, z, f1)
-            # Overflow here is not an error: non-finite states are flagged below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_next = xl + drift * dt + np.einsum("pnm,pm->pn", diff, dW[rows, j])
+        f0 = problem.f0(t, xl)
+        f1 = problem.f1(t, xl, z)
+        drift = f0 + f1
+        diff = problem.diff(t, xl)
+        if step is not None:
+            step(i, t, live, xl, z, f1)
+        # Overflow here is not an error: non-finite states are flagged below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = xl + drift * dt + np.einsum("pnm,pm->pn", diff, dW[rows, j])
 
-            stop = None
-            if not np.isfinite(x_next).all():
-                stop = ~np.isfinite(x_next).all(axis=1)
-                diverged_step[live[stop]] = i + 1
-                x_next[stop] = xl[stop]        # frozen at the last finite state
-            if domain is not None:
-                sd_next = domain.signed_distance(x_next)
-                sigma2 = u = None
-                if bridge:  # σ² = B Bᵀ, n = 1
-                    sigma2, u = np.einsum("pnm,pnm->p", diff, diff), bridge_u[rows, j]
-                hit, where = _step_exits(domain, xl, x_next, sdl, sd_next, dt, sigma2, u)
-                if stop is not None:
-                    hit &= ~stop
-                if hit.any():
-                    exited = live[hit]
-                    exit_step[exited] = i + 1
-                    exit_time[exited] = times[i + 1]
-                    exit_state[exited] = where[hit]
-                    stop = hit if stop is None else stop | hit
-                sdl = sd_next
-            xl = x_next
+        stop = None
+        if not np.isfinite(x_next).all():
+            stop = ~np.isfinite(x_next).all(axis=1)
+            diverged_step[live[stop]] = i + 1
+            x_next[stop] = xl[stop]        # frozen at the last finite state
+        if domain is not None:
+            sd_next = domain.signed_distance(x_next)
+            sigma2 = u = None
+            if bridge:  # σ² = B Bᵀ, n = 1
+                sigma2, u = np.einsum("pnm,pnm->p", diff, diff), bridge_u[rows, j]
+            hit, where = _step_exits(domain, xl, x_next, sdl, sd_next, dt, sigma2, u)
             if stop is not None:
-                x[live[stop]] = xl[stop]
-                go = ~stop
-                live, xl, slot = live[go], xl[go], slot[go]
-                if domain is not None:
-                    sdl = sdl[go]
-
-        if store:
-            x[live] = xl
-            states[:, i + 1] = x
+                hit &= ~stop
+            if hit.any():
+                exited = live[hit]
+                exit_step[exited] = i + 1
+                exit_time[exited] = times[i + 1]
+                exit_state[exited] = where[hit]
+                stop = hit if stop is None else stop | hit
+            sdl = sd_next
+        xl = x_next
+        if stop is not None:
+            x[live[stop]] = xl[stop]
+            go = ~stop
+            live, xl, slot = live[go], xl[go], slot[go]
+            if domain is not None:
+                sdl = sdl[go]
 
     x[live] = xl
     if (diverged_step >= 0).all():
@@ -537,7 +541,7 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
         )
 
     return PathBatch(
-        times=times, states=states, controls=controls, brownian_increments=dW_all,
+        times=times, states=None, controls=None, brownian_increments=None,
         exit_step=exit_step, exit_time=exit_time, exit_state=exit_state,
         diverged_step=diverged_step, end_state=x, seed=config.seed, dt=dt, t0=t0,
         path_offset=lo, integrand=step,
@@ -640,7 +644,8 @@ def dump_paths_csv(batch: PathBatch, path: str, stride: int = 1) -> None:
 
     One row per retained step (every ``stride``-th, starting at 0); the
     terminal row has no control (columns written as nan).  ``exited`` is 1
-    from the exit step onward.
+    from the exit step onward; a stopped path repeats its end state and its
+    last applied control (see :class:`PathBatch`).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")

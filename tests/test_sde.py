@@ -44,6 +44,23 @@ def _drift_problem(f0, diffusion=None, horizon=1.0, terminal=None, **overrides):
     return ControlProblem(**kwargs)
 
 
+def _assert_stopped_tails(batch, stop):
+    """A path stopped at step s stores its end state at steps >= s and
+    repeats its last applied control, controls[p, s-1], at steps s..n_steps-1."""
+    assert np.any(stop >= 0)
+    for p in np.flatnonzero(stop >= 0):
+        s = stop[p]
+        assert np.all(batch.states[p, s:] == batch.end_state[p])
+        assert np.all(batch.controls[p, s:] == batch.controls[p, s - 1])
+
+
+# A control that moves with t and x, so a stored control shows where the
+# policy was evaluated (the dynamics ignore it); arctan keeps t visible at
+# near-overflow states.
+MOVING = FeedbackPolicy(lambda t, x: t + np.arctan(x[:, 0]))
+FREE = ControlSet.box([-np.inf], [np.inf])
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="dt"):
@@ -247,14 +264,15 @@ class TestDivergence:
 
     def test_divergence_flagged_not_dropped(self):
         prob = _drift_problem(lambda t, x: np.where(x > 0.5, 1.7e308, 0.0),
-                              horizon=10.0)
-        batch = simulate(prob, ZERO, 0.0, 0.0, SimConfig(dt=0.5, n_paths=8, seed=1))
+                              horizon=10.0, control_set=FREE)
+        batch = simulate(prob, MOVING, 0.0, 0.0, SimConfig(dt=0.5, n_paths=8, seed=1))
         assert 0 < batch.n_diverged < 8
         p = int(np.argmax(batch.diverged_step >= 0))
         d = batch.diverged_step[p]
         frozen = batch.states[p, d:, 0]
         assert np.all(frozen == frozen[0])  # held at the last finite state
         assert np.all(np.isfinite(batch.states[p]))
+        _assert_stopped_tails(batch, batch.diverged_step)
 
     def test_all_diverged_raises(self):
         prob = _drift_problem(lambda t, x: np.full_like(x, 1.7e308),
@@ -278,13 +296,44 @@ class TestExitDetection:
                 assert rec.state[0] in (0.0, 1.0)
                 assert rec.time == pytest.approx(batch.times[e])
 
-    def test_exit_freezes_path(self, exit_time_problem):
-        batch = simulate(exit_time_problem, ZERO, 0.0, 0.5,
-                         SimConfig(dt=1e-3, n_paths=64, seed=3))
-        p = int(np.argmax(batch.exit_step >= 0))
-        e = batch.exit_step[p]
-        tail = batch.states[p, e:, 0]
-        assert np.all(tail == tail[0])
+    def test_exit_freezes_path(self):
+        # dy = dW on (0, 1), as in exit_time_problem, with a free control.
+        prob = _drift_problem(lambda t, x: np.zeros_like(x), horizon=3.0, control_set=FREE,
+                              domain=Domain.interval(0.0, 1.0),
+                              boundary_cost=lambda t, x: np.zeros(x.shape[0]))
+        for rule in ("grid_crossing", "brownian_bridge"):
+            batch = simulate(prob, MOVING, 0.0, 0.5,
+                             SimConfig(dt=1e-3, n_paths=64, seed=3, exit_rule=rule))
+            p = int(np.argmax(batch.exit_step >= 0))
+            e = batch.exit_step[p]
+            tail = batch.states[p, e:, 0]
+            assert np.all(tail == tail[0])
+            _assert_stopped_tails(batch, batch.exit_step)
+            assert batch.recompute_residual(prob) <= 1e-12
+
+    @pytest.mark.parametrize("rule", ["grid_crossing", "brownian_bridge"])
+    def test_domain_only_policy_is_called_inside_the_domain(self, exit_time_problem, rule):
+        # An exited path's end state is the raw Euler point, outside (0, 1)
+        # under grid crossing: the policy must never be evaluated there.
+        outside = []
+
+        def inside_only(t, x):
+            x = np.asarray(x, dtype=float)
+            if np.any((x <= 0.0) | (x >= 1.0)):
+                outside.append(x)
+                raise ValueError("the policy is defined on (0, 1) only")
+            return np.zeros(x.shape[0])
+
+        policy = FeedbackPolicy(inside_only)
+        cfg = SimConfig(dt=0.01, n_paths=50, seed=1, exit_rule=rule)
+        batch = simulate(exit_time_problem, policy, 0.0, 0.5, cfg)
+        streamed = list(simulate_chunks(exit_time_problem, policy, 0.0, 0.5, cfg, chunk_size=16,
+                                        integrand=lambda n, times, dt: None))
+        assert not outside
+        assert np.sum(batch.exited) > 40
+        for name in ("exit_step", "exit_state", "end_state"):
+            assert np.array_equal(np.concatenate([getattr(c, name) for c in streamed]),
+                                  getattr(batch, name), equal_nan=True), name
 
     def test_symmetric_exit_fractions(self, exit_time_problem):
         batch = simulate(exit_time_problem, ZERO, 0.0, 0.5,

@@ -12,14 +12,16 @@ name's prefix (``sim_`` simulate, ``ver_`` verify, ``solve_`` solve).  Every
 output file is hashed with sha256, ``report.md`` without its ``Generated:``
 line (the wall-clock stamp).  The hashes are compared with the file's
 ``byte_identity.files``; the exit code is 1 when any file differs, is
-missing or is new.  ``--json`` writes ``{"configs", "files",
-"differs_from_parent"}`` (the names whose hash differs from ``--against``)
-for a new BENCH file.
+missing or is new.  The summary line also gives the line count of
+``<root>/src/hjbverify/*.py``.  ``--json`` writes ``{"configs", "files",
+"differs_from_parent", "src_lines"}`` (the names whose hash differs from
+``--against``) for a new BENCH file.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -66,6 +68,15 @@ def run_configs(configs: dict, root: str, work: str) -> dict:
     return hashes
 
 
+def src_lines(root: str) -> int:
+    """Lines of ``<root>/src/hjbverify/*.py``, as ``wc -l`` counts them."""
+    total = 0
+    for name in glob.glob(os.path.join(root, "src", "hjbverify", "*.py")):
+        with open(name, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def diff(got: dict, want: dict) -> list[str]:
     """One line per file that differs, is missing from ``got`` or is new in it."""
     lines = [f"differs: {k}" for k in sorted(got.keys() & want.keys()) if got[k] != want[k]]
@@ -85,18 +96,22 @@ def main(argv=None) -> int:
         ref = json.load(fh)["byte_identity"]
     work = args.work or tempfile.mkdtemp(prefix="byte_identity_")
     os.makedirs(work, exist_ok=True)
-    got = run_configs(ref["configs"], os.path.abspath(args.root), work)
+    root = os.path.abspath(args.root)
+    got = run_configs(ref["configs"], root, work)
     lines = diff(got, ref["files"])
+    n_src = src_lines(root)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"configs": ref["configs"], "files": got,
                        "differs_from_parent": sorted(k for k in got.keys() & ref["files"].keys()
-                                                     if got[k] != ref["files"][k])},
+                                                     if got[k] != ref["files"][k]),
+                       "src_lines": n_src},
                       fh, indent=1)
             fh.write("\n")
     for line in lines:
         print(line)
-    print(f"{len(got)} files hashed, {len(lines)} differences against {args.against}")
+    print(f"{len(got)} files hashed, {len(lines)} differences against {args.against}; "
+          f"src/hjbverify is {n_src} lines")
     return 1 if lines else 0
 
 
