@@ -22,8 +22,6 @@ __version__ = "0.1.0"
 
 from .benchmarks import (
     AdvertisingParams,
-    AdvertisingSolution,
-    DiscountedDemoSolution,
     advertising_coefficients,
     advertising_feedback,
     advertising_gradient,
@@ -114,8 +112,8 @@ __all__ = [
     "estimate_cost", "fundamental_identity", "certify", "discounted_verify",
     "VERDICT_OPTIMAL", "VERDICT_SUBOPTIMAL", "VERDICT_INCONCLUSIVE",
     # benchmarks
-    "AdvertisingParams", "AdvertisingSolution", "DiscountedDemoSolution",
-    "advertising_coefficients", "advertising_value", "advertising_gradient",
-    "advertising_feedback", "advertising_solution", "make_advertising_problem",
-    "make_exit_demo", "make_discounted_demo", "discounted_demo_solution",
+    "AdvertisingParams", "advertising_coefficients", "advertising_value",
+    "advertising_gradient", "advertising_feedback", "advertising_solution",
+    "make_advertising_problem", "make_exit_demo", "make_discounted_demo",
+    "discounted_demo_solution",
 ]

@@ -9,6 +9,7 @@ whether to squeeze on the way out.
 from __future__ import annotations
 
 import logging
+import operator
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def as_point_batch(x, dim: int) -> tuple[np.ndarray, bool]:
             raise ValueError(f"expected batch shape (P, {dim}), got {arr.shape}")
         return arr, False
     raise ValueError(f"expected scalar, ({dim},) or (P, {dim}) input, got shape {arr.shape}")
+
+
+def as_size(value, name: str) -> int:
+    """``value`` as a Python int; a float or other non-integer raises TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def unbatch(values: np.ndarray, single: bool):

@@ -25,7 +25,9 @@ z = ([grad v]^+ / (1+eta))^{1/eta} is still well defined.
 Also provided: two exit-time demos on the unit interval driven by a standard
 Brownian motion (constant data, and the expected-exit-time problem whose
 stationary value is x(1-x)), and a constant-cost discounted demo whose value
-is cost/rate exactly.
+is cost/rate exactly.  ``advertising_solution`` and
+``discounted_demo_solution`` return these closed forms as
+:class:`~hjbverify.verify.ClosedFormValue` candidates.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from .problem import (
     Domain,
     FiniteHorizon,
 )
+from .verify import ClosedFormValue
 
 __all__ = [
     "AdvertisingParams",
-    "AdvertisingSolution",
-    "DiscountedDemoSolution",
     "advertising_coefficients",
     "advertising_value",
     "advertising_gradient",
@@ -155,49 +156,12 @@ def advertising_feedback(params: AdvertisingParams, t, x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class AdvertisingSolution:
-    """Closed-form solution bundle; quacks like a solved field.
-
-    ``value_at``/``gradient_at`` take batches (P, 1) like a SpaceTimeField,
-    so this object can be passed wherever verification expects a candidate
-    value function.  Values and gradients are in the problem's declared
-    (maximize) sense.
-    """
-
-    params: AdvertisingParams
-
-    provenance = "closed_form"
-
-    def coefficients(self, t):
-        return advertising_coefficients(self.params, t)
-
-    def value(self, t, x):
-        return advertising_value(self.params, t, x)
-
-    def gradient(self, t, x):
-        return advertising_gradient(self.params, t, x)
-
-    def feedback(self, t, x):
-        return advertising_feedback(self.params, t, x)
-
-    # -- field protocol ------------------------------------------------------
-
-    def value_at(self, t, x):
-        xb = np.asarray(x, dtype=float)
-        if xb.ndim == 2:
-            return advertising_value(self.params, t, xb[:, 0])
-        return advertising_value(self.params, t, xb)
-
-    def gradient_at(self, t, x):
-        xb = np.asarray(x, dtype=float)
-        if xb.ndim == 2:
-            return advertising_gradient(self.params, t, xb[:, 0]).reshape(-1, 1)
-        return advertising_gradient(self.params, t, xb)
-
-
-def advertising_solution(params: AdvertisingParams) -> AdvertisingSolution:
-    return AdvertisingSolution(params=params)
+def advertising_solution(params: AdvertisingParams) -> ClosedFormValue:
+    """The closed-form v and v_x as a candidate value function (maximize sense)."""
+    return ClosedFormValue(
+        value_fn=lambda t, x: advertising_value(params, t, x[:, 0]),
+        gradient_fn=lambda t, x: advertising_gradient(params, t, x[:, 0]),
+    )
 
 
 def make_advertising_problem(params: AdvertisingParams) -> ControlProblem:
@@ -319,28 +283,6 @@ def make_exit_demo(
     )
 
 
-@dataclass(frozen=True)
-class DiscountedDemoSolution:
-    """Closed-form value of the constant-cost discounted demo: v ≡ cost/rate."""
-
-    rate: float
-    cost: float
-
-    provenance = "closed_form"
-
-    def value_at(self, t, x):
-        xb = np.asarray(x, dtype=float)
-        flat = xb[:, 0] if xb.ndim == 2 else np.atleast_1d(xb)
-        out = np.full(flat.shape, self.cost / self.rate)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def gradient_at(self, t, x):
-        xb = np.asarray(x, dtype=float)
-        if xb.ndim == 2:
-            return np.zeros_like(xb)
-        return np.zeros(np.shape(np.atleast_1d(xb)))
-
-
 def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem:
     """Constant-cost discounted problem: dy = dW, l1 ≡ cost, J = cost/rate.
 
@@ -374,5 +316,8 @@ def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem
     )
 
 
-def discounted_demo_solution(rate: float = 1.0, cost: float = 1.0) -> DiscountedDemoSolution:
-    return DiscountedDemoSolution(rate=float(rate), cost=float(cost))
+def discounted_demo_solution(rate: float = 1.0, cost: float = 1.0) -> ClosedFormValue:
+    """The exact value v ≡ cost/rate of the discounted demo, with zero gradient."""
+    v = float(cost) / float(rate)
+    return ClosedFormValue(value_fn=lambda t, x: np.full(x.shape[0], v),
+                           gradient_fn=lambda t, x: np.zeros_like(x))

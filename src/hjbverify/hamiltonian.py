@@ -13,7 +13,7 @@ orientation (the gradient of the *minimize*-sense value function).
 
 Minimization strategy: a registered closed form wins; otherwise finite control
 sets are enumerated (vectorized over evaluation points) and box sets are
-scanned with a coarse per-axis grid at ``grid_resolution`` followed by
+scanned with a coarse grid of 33 points per axis followed by
 golden-section refinement down to an absolute control step of 1e-8.  One
 golden pass settles a single control axis; with several axes the passes
 repeat in rounds of coordinate descent only while a round both moves a
@@ -54,6 +54,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+_SCAN_POINTS = 33          # coarse box-scan grid points per control axis
 _GOLDEN_STEP = 1e-8        # absolute control-step target of the refinement
 _ROUND_GAIN = 8 * np.finfo(float).eps  # a round that lowers H_cv by less is roundoff
 _MAX_ROUNDS = 100          # coordinate-descent rounds of the box scan (k > 1)
@@ -238,7 +239,7 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
     run on that row alone.
     """
     U = prob.control_set
-    P, k, res = xs.shape[0], U.dimension, U.grid_resolution
+    P, k, res = xs.shape[0], U.dimension, _SCAN_POINTS
     if P == 0:
         return np.empty(0), np.empty((0, k))
     lo, hi = np.tile(U.lower, (P, 1)), np.tile(U.upper, (P, 1))

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
+from ._util import as_size
 from .hamiltonian import _minimize_batch
 from .problem import ControlProblem, FiniteHorizon, canonicalize
 
@@ -68,6 +69,8 @@ class Grid1D:
     def __post_init__(self):
         if not (self.x_min < self.x_max):
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        for name in ("nx", "nt"):
+            object.__setattr__(self, name, as_size(getattr(self, name), name))
         if self.nx < 3:
             raise ValueError("nx must be at least 3")
         if self.nt < 1:
@@ -502,16 +505,22 @@ def refine_ladder(
     boundary=None,
 ) -> ApproximationLadder:
     """Solve on ``levels`` grids (dx and dt halved each level) and compare
-    consecutive fields on the coarsest node set (sup norms)."""
+    consecutive fields on the coarsest node set (sup norms).
+
+    ``boundary`` is the edge data of :func:`solve_parabolic`; exit problems
+    take theirs from ``boundary_cost`` and reject it.
+    """
     if levels < 3:
         raise ValueError("a meaningful ladder needs at least 3 levels")
+    if problem.domain is not None and boundary is not None:
+        raise ValueError("exit problems take their edge data from boundary_cost; "
+                         "refine_ladder got a boundary as well")
     grids = [base_grid]
     for _ in range(levels - 1):
         grids.append(grids[-1].refined())
-    solver = solve_exit if problem.domain is not None else solve_parabolic
-    fields = []
-    for g in grids:
-        fields.append(solver(problem, g) if solver is solve_exit else solver(problem, g, boundary))
+    solver = (solve_exit if problem.domain is not None
+              else functools.partial(solve_parabolic, boundary=boundary))
+    fields = [solver(problem, g) for g in grids]
 
     v_dist = []
     g_dist = []
@@ -538,27 +547,21 @@ def refine_ladder(
     )
 
 
-def gradient_diagnostics(
-    source,
-    problem: ControlProblem,
-    probe_times=None,
-    probe_points=None,
-    kink_offsets=None,
-    kink_time: float = 0.0,
-) -> GradientDiagnostics:
+def gradient_diagnostics(source, problem: ControlProblem, probe_points=None) -> GradientDiagnostics:
     """Sample the weighted gradient sup (T-t)^{1/2} |v_x| and measure the
     second-difference blow-up exponent near each registered kink.
 
     ``source`` is a SpaceTimeField or any object with value_at/gradient_at
-    (e.g. a closed-form solution bundle).  The blow-up exponent for a kink
-    x0 is the slope of log |v_xx(kink_time, x0 + h)| against log h over
-    ``kink_offsets`` (default: two decades, h in [1e-3, 1e-1]); second
-    differences below the smoothness floor are treated as zero and a fully
-    floored profile reports exponent 0.0 (no blow-up).
+    (e.g. a :class:`~hjbverify.verify.ClosedFormValue`).  The sup is taken
+    over 32 equally spaced times in [0, T) and ``probe_points`` (default:
+    the field's interior nodes; required for other sources).  The blow-up
+    exponent for a kink x0 is the slope of log |v_xx(0, x0 + h)| against
+    log h, over 25 log-spaced h in [1e-3, 1e-1] for a closed form and over
+    the grid nodes right of x0 for a field; second differences below the
+    smoothness floor are treated as zero and a fully floored profile reports
+    exponent 0.0 (no blow-up).
     """
     T = problem.horizon.terminal_time
-    if probe_times is None:
-        probe_times = np.linspace(0.0, T, 33)[:-1]
     if probe_points is None:
         if isinstance(source, SpaceTimeField):
             probe_points = source.grid.xs[1:-1]
@@ -567,42 +570,38 @@ def gradient_diagnostics(
     probe_points = np.asarray(probe_points, dtype=float)
 
     wsup = 0.0
-    for t in np.asarray(probe_times, dtype=float):
+    for t in np.linspace(0.0, T, 33)[:-1]:
         g = np.asarray(source.gradient_at(float(t), probe_points), dtype=float)
         wsup = max(wsup, float(np.sqrt(max(T - t, 0.0)) * np.max(np.abs(g))))
-
-    if kink_offsets is None:
-        kink_offsets = np.logspace(-3.0, -1.0, 25)
-    kink_offsets = np.asarray(kink_offsets, dtype=float)
 
     floor = 1e-12
     exponents: dict = {}
     for kink in problem.kink_points:
         if isinstance(source, SpaceTimeField):
-            exponents[kink] = _field_blowup(source, kink, kink_time, floor)
+            exponents[kink] = _field_blowup(source, kink, floor)
         else:
-            exponents[kink] = _callable_blowup(source, kink, kink_time, kink_offsets, floor)
+            exponents[kink] = _callable_blowup(source, kink, floor)
     return GradientDiagnostics(weighted_gradient_sup=wsup, blowup_exponents=exponents,
                                smooth_floor=floor)
 
 
-def _callable_blowup(source, kink: float, t: float, offsets: np.ndarray, floor: float):
+def _callable_blowup(source, kink: float, floor: float):
+    offsets = np.logspace(-3.0, -1.0, 25)
     d2 = np.empty_like(offsets)
     for idx, h in enumerate(offsets):
         x = kink + h
         delta = h / 8.0
-        vp = float(np.atleast_1d(source.value_at(t, np.array([x + delta])))[0])
-        v0 = float(np.atleast_1d(source.value_at(t, np.array([x])))[0])
-        vm = float(np.atleast_1d(source.value_at(t, np.array([x - delta])))[0])
+        vp = float(np.atleast_1d(source.value_at(0.0, np.array([x + delta])))[0])
+        v0 = float(np.atleast_1d(source.value_at(0.0, np.array([x])))[0])
+        vm = float(np.atleast_1d(source.value_at(0.0, np.array([x - delta])))[0])
         d2[idx] = (vp - 2.0 * v0 + vm) / delta**2
     return _fit_blowup(offsets, d2, floor)
 
 
-def _field_blowup(field: SpaceTimeField, kink: float, t: float, floor: float):
+def _field_blowup(field: SpaceTimeField, kink: float, floor: float):
     grid = field.grid
     xs = grid.xs
-    i = field._time_index(t)
-    row = field.values[i]
+    row = field.values[field._time_index(0.0)]
     d2 = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / grid.dx**2
     h = xs[1:-1] - kink
     mask = h > 0.5 * grid.dx

@@ -62,21 +62,18 @@ class ControlSet:
       (``+inf``/``-inf`` entries).
     * ``"finite"`` — an explicit list of points.
 
-    ``grid_resolution`` is the number of scan points per axis of a box set
-    in the Hamiltonian minimizer's coarse stage.
+    The Hamiltonian minimizer scans a box set on a coarse grid of 33 points
+    per axis before refining.
     """
 
     kind: str
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     points: np.ndarray | None = None
-    grid_resolution: int = 33
 
     def __post_init__(self):
         if self.kind not in ("box", "finite"):
             raise ValueError(f"unknown control-set kind {self.kind!r}")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
         if self.kind == "box":
             lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
             hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
@@ -102,8 +99,8 @@ class ControlSet:
             object.__setattr__(self, "points", pts[order])
 
     @classmethod
-    def box(cls, lower, upper, grid_resolution: int = 33) -> "ControlSet":
-        return cls(kind="box", lower=lower, upper=upper, grid_resolution=grid_resolution)
+    def box(cls, lower, upper) -> "ControlSet":
+        return cls(kind="box", lower=lower, upper=upper)
 
     @classmethod
     def finite(cls, points) -> "ControlSet":

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import as_point_batch, batch_call
+from ._util import as_point_batch, as_size, batch_call
 from .problem import ControlProblem, DiscountedInfinite, Domain, FiniteHorizon
 
 __all__ = [
@@ -161,6 +161,7 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "n_paths", as_size(self.n_paths, "n_paths"))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.exit_rule not in ("grid_crossing", "brownian_bridge"):
@@ -391,6 +392,8 @@ def simulate_chunks(
     ``problem.f1(t, x, z)`` — before those rows advance.  The step callable
     is returned as the batch's ``integrand``.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     policy = _as_policy(policy)
     lo = 0
     while lo < config.n_paths:
@@ -639,27 +642,24 @@ def detect_exit(
 # ---------------------------------------------------------------------------
 
 
-def dump_paths_csv(batch: PathBatch, path: str, stride: int = 1) -> None:
+def dump_paths_csv(batch: PathBatch, path: str) -> None:
     """Write paths as CSV: ``path,step,t,x1..xn,z1..zk,exited``.
 
-    One row per retained step (every ``stride``-th, starting at 0); the
-    terminal row has no control (columns written as nan).  ``exited`` is 1
+    One row per path and step, 0 to ``n_steps``; the terminal row has no
+    control (columns written as nan).  ``exited`` is 1
     from the exit step onward; a stopped path repeats its end state and its
     last applied control (see :class:`PathBatch`).
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     n = batch.states.shape[2]
     k = batch.controls.shape[2]
     header = ["path", "step", "t"] + [f"x{j+1}" for j in range(n)] + \
              [f"z{j+1}" for j in range(k)] + ["exited"]
-    steps = np.arange(0, batch.n_steps + 1, stride)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for p in range(batch.n_paths):
             ex = batch.exit_step[p]
-            for s in steps:
-                row = [str(batch.path_offset + p), str(int(s)), _fmt(batch.times[s])]
+            for s in range(batch.n_steps + 1):
+                row = [str(batch.path_offset + p), str(s), _fmt(batch.times[s])]
                 row += [_fmt(v) for v in batch.states[p, s]]
                 if s < batch.n_steps:
                     row += [_fmt(v) for v in batch.controls[p, s]]

@@ -7,6 +7,7 @@ import pytest
 
 from hjbverify import (
     AdvertisingParams,
+    ClosedFormValue,
     Domain,
     advertising_coefficients,
     advertising_feedback,
@@ -142,8 +143,33 @@ class TestValueFunction:
             advertising_value(adv_params, 0.0, xb[:, 0]))
         assert adv_solution.gradient_at(0.0, xb).shape == (2, 1)
         assert adv_solution.provenance == "closed_form"
-        a, b = adv_solution.coefficients(0.0)
-        assert (a, b) == advertising_coefficients(adv_params, 0.0)
+
+
+# A float, a (P,) array and a (P, 1) batch of states.
+STATES = [2.0, np.array([-1.0, 0.0, 2.0]), np.array([[2.0], [-1.0], [0.0], [0.5]])]
+
+
+class TestClosedFormCandidates:
+    def test_both_solutions_are_closed_form_values(self, adv_solution):
+        for sol in (adv_solution, discounted_demo_solution(0.5, 2.0)):
+            assert isinstance(sol, ClosedFormValue)
+            assert sol.provenance == "closed_form"
+
+    @pytest.mark.parametrize("x", STATES, ids=["float", "flat", "batch"])
+    def test_advertising_solution_is_the_closed_form_bitwise(self, adv_params, adv_solution, x):
+        flat = x[:, 0] if np.ndim(x) == 2 else x
+        for t in (0.0, 0.6):
+            assert (np.asarray(adv_solution.value_at(t, x)).tobytes()
+                    == np.asarray(advertising_value(adv_params, t, flat)).tobytes())
+            assert (np.asarray(adv_solution.gradient_at(t, x)).tobytes()
+                    == np.asarray(advertising_gradient(adv_params, t, flat)).tobytes())
+
+    @pytest.mark.parametrize("x", STATES, ids=["float", "flat", "batch"])
+    def test_discounted_solution_is_the_constant_bitwise(self, x):
+        sol = discounted_demo_solution(0.5, 2.0)
+        n = np.size(x)
+        assert np.asarray(sol.value_at(0.3, x)).tobytes() == np.full(n, 4.0).tobytes()
+        assert np.asarray(sol.gradient_at(0.3, x)).tobytes() == np.zeros(n).tobytes()
 
 
 class TestAdvertisingProblem:

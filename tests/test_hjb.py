@@ -12,6 +12,7 @@ from hjbverify import (
     FiniteHorizon,
     Grid1D,
     SpaceTimeField,
+    advertising_gradient,
     advertising_value,
     field_from_callable,
     gradient_diagnostics,
@@ -65,6 +66,14 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, 11, 0)
         with pytest.raises(ValueError, match="t_final"):
             Grid1D(0.0, 1.0, 11, 4, t_final=-1.0)
+
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(TypeError, match="nx must be an integer"):
+            Grid1D(0.0, 1.0, 11.0, 4)
+        with pytest.raises(TypeError, match="nt must be an integer"):
+            Grid1D(0.0, 1.0, 11, 10.0)
+        g = Grid1D(0.0, 1.0, np.int64(11), np.int32(4), t_final=1.0)
+        assert (g.nx, g.nt) == (11, 4) and g.xs.shape == (11,)
 
     def test_spacings(self):
         g = Grid1D(0.0, 1.0, 11, 4, t_final=1.0)
@@ -224,15 +233,14 @@ class TestResidual:
         assert set(range(17, 24)).issubset(rep.excluded_nodes)
         assert np.all(np.isnan(rep.residual[:, 17:24]))
 
-    def test_closed_form_advertising_residual_small(self, adv_params, adv_problem,
-                                                    adv_solution):
+    def test_closed_form_advertising_residual_small(self, adv_params, adv_problem):
         # Away from the kink at 0 the closed form satisfies the equation;
         # the report's finite differences leave O(dx^2) noise in space and,
         # at the first and last time rows, O(dt) from the one-sided stencil.
         grid = Grid1D(0.2, 5.0, 201, 500, t_final=1.0)
         field = field_from_callable(
             lambda t, xs: advertising_value(adv_params, t, xs), grid,
-            gradient_fn=lambda t, xs: adv_solution.gradient(t, xs))
+            gradient_fn=lambda t, xs: advertising_gradient(adv_params, t, xs))
         rep = residual(field, adv_problem)
         assert rep.sup_interior_residual <= 1e-2
 
@@ -373,6 +381,17 @@ class TestRefineLadder:
         with pytest.raises(ValueError, match="at least 3 levels"):
             refine_ladder(adv_problem, Grid1D(0.1, 5.0, 101, 250), levels=2)
 
+    def test_exit_problem_rejects_a_boundary(self, exit_time_problem):
+        with pytest.raises(ValueError, match="boundary_cost"):
+            refine_ladder(exit_time_problem, Grid1D(0.0, 1.0, 11, 20), levels=3,
+                          boundary=lambda t, x: 0.0)
+
+    def test_exit_problem_ladder(self, exit_time_problem):
+        ladder = refine_ladder(exit_time_problem, Grid1D(0.0, 1.0, 11, 20), levels=3)
+        assert [f.grid.nx for f in ladder.fields] == [11, 21, 41]
+        for f in ladder.fields:  # edge data from boundary_cost, which is zero
+            assert not f.values[:, [0, -1]].any()
+
     def test_advertising_ladder_passes(self, adv_problem, adv_solution):
         ladder = refine_ladder(adv_problem, Grid1D(0.1, 5.0, 101, 250), levels=3,
                                boundary=adv_solution)
@@ -500,15 +519,15 @@ class TestFieldCsv:
 
 
 class TestFieldFromCallable:
-    def test_samples_values_and_gradient(self, adv_params, adv_solution):
+    def test_samples_values_and_gradient(self, adv_params):
         grid = Grid1D(0.2, 5.0, 11, 4, t_final=1.0)
         field = field_from_callable(
             lambda t, xs: advertising_value(adv_params, t, xs), grid,
-            gradient_fn=lambda t, xs: adv_solution.gradient(t, xs))
+            gradient_fn=lambda t, xs: advertising_gradient(adv_params, t, xs))
         assert field.provenance == "closed_form"
         t, x = float(grid.ts[2]), float(grid.xs[3])
         assert field.values[2, 3] == pytest.approx(advertising_value(adv_params, t, x))
-        assert field.gradient[2, 3] == pytest.approx(adv_solution.gradient(t, x))
+        assert field.gradient[2, 3] == pytest.approx(advertising_gradient(adv_params, t, x))
 
     def test_gradient_without_gradient_fn_is_per_row_np_gradient(self, adv_params):
         grid = Grid1D(0.2, 5.0, 31, 12, t_final=1.0)

@@ -18,6 +18,7 @@ from hjbverify import (
     FiniteHorizon,
     OpenLoopPolicy,
     SimConfig,
+    advertising_feedback,
     detect_exit,
     dump_paths_csv,
     gaussian_increments,
@@ -69,6 +70,11 @@ class TestSimConfig:
             SimConfig(dt=0.1, n_paths=0, seed=0)
         with pytest.raises(ValueError, match="exit rule"):
             SimConfig(dt=0.1, n_paths=10, seed=0, exit_rule="levy")
+
+    def test_n_paths_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="n_paths must be an integer"):
+            SimConfig(dt=0.1, n_paths=3.0, seed=0)
+        assert SimConfig(dt=0.1, n_paths=np.int64(3), seed=0).n_paths == 3
 
     def test_dt_must_resolve_horizon(self):
         prob = _drift_problem(lambda t, x: -x)
@@ -179,8 +185,9 @@ class TestEulerRecurrence:
                          SimConfig(dt=0.01, n_paths=8, seed=4))
         assert batch.recompute_residual(adv_problem) <= 1e-12
 
-    def test_feedback_controls_causal(self, adv_problem, adv_solution):
-        policy = FeedbackPolicy(lambda t, x: adv_solution.feedback(t, x[:, 0]).reshape(-1, 1))
+    def test_feedback_controls_causal(self, adv_params, adv_problem):
+        policy = FeedbackPolicy(
+            lambda t, x: advertising_feedback(adv_params, t, x[:, 0]).reshape(-1, 1))
         batch = simulate(adv_problem, policy, 0.0, 2.0, SimConfig(dt=0.01, n_paths=4, seed=6))
         for i in (0, 10, 50):
             expected = policy.controls_at(batch.times[i], batch.states[:, i], 1)

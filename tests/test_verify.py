@@ -41,8 +41,8 @@ ZERO_POLICY_VALUE = 0.6931358764069737
 FEEDBACK_VALUE = 0.8494687193651894  # a(0) * 2^{1.5}
 
 
-def _feedback_policy(solution):
-    return FeedbackPolicy(lambda t, x: solution.feedback(t, x[:, 0]).reshape(-1, 1))
+def _feedback_policy(params):
+    return FeedbackPolicy(lambda t, x: advertising_feedback(params, t, x[:, 0]).reshape(-1, 1))
 
 
 def _terminal_state_problem():
@@ -115,12 +115,18 @@ class TestEstimateCost:
             with pytest.raises(RuntimeError, match="decrease dt"):
                 estimate()
 
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        cfg = SimConfig(dt=0.02, n_paths=10, seed=0)
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            estimate_cost(_terminal_state_problem(), ZERO, 0.0, 0.3, cfg, chunk_size=chunk_size)
+
 
 class TestFundamentalIdentity:
-    def test_feedback_on_closed_form(self, adv_problem, adv_solution):
+    def test_feedback_on_closed_form(self, adv_params, adv_problem, adv_solution):
         cfg = SimConfig(dt=2e-3, n_paths=2000, seed=7)
         rep = fundamental_identity(adv_problem, adv_solution,
-                                   _feedback_policy(adv_solution), 0.0, 2.0, cfg)
+                                   _feedback_policy(adv_params), 0.0, 2.0, cfg)
         assert rep.passed
         assert rep.v_at_start == pytest.approx(FEEDBACK_VALUE, rel=1e-12)
         # The feedback control attains the Hamiltonian infimum pointwise, so
@@ -168,9 +174,9 @@ class TestFundamentalIdentity:
 
 
 class TestCertify:
-    def test_optimal_feedback(self, adv_problem, adv_solution):
+    def test_optimal_feedback(self, adv_params, adv_problem, adv_solution):
         cfg = SimConfig(dt=2e-3, n_paths=2000, seed=11)
-        cert = certify(adv_problem, adv_solution, _feedback_policy(adv_solution),
+        cert = certify(adv_problem, adv_solution, _feedback_policy(adv_params),
                        0.0, 2.0, cfg, necessity_scan=True)
         assert cert.verdict == VERDICT_OPTIMAL
         assert cert.optimality_margin == 0.0
@@ -399,8 +405,8 @@ class TestStreamedLoopMatchesRewalk:
         assert est.discarded_diverged == cert.evidence.cost.discarded_diverged == batch.n_diverged
         return cert, batch
 
-    def test_advertising_feedback(self, adv_problem, adv_solution):
-        self._certify_case(adv_problem, adv_solution, _feedback_policy(adv_solution), 2.0,
+    def test_advertising_feedback(self, adv_params, adv_problem, adv_solution):
+        self._certify_case(adv_problem, adv_solution, _feedback_policy(adv_params), 2.0,
                            SimConfig(dt=0.02, n_paths=40, seed=5))
 
     def test_maximize_sense_with_a_field_and_a_gap(self, adv_params, adv_problem):
