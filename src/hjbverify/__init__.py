@@ -84,9 +84,7 @@ from .verify import (
     ClosedFormValue,
     CostEstimate,
     IdentityReport,
-    discounted_verify,
     estimate_cost,
-    fundamental_identity,
     certify,
 )
 
@@ -109,7 +107,7 @@ __all__ = [
     "residual", "gradient_diagnostics", "field_from_callable",
     # verify
     "CostEstimate", "IdentityReport", "Certificate", "ClosedFormValue",
-    "estimate_cost", "fundamental_identity", "certify", "discounted_verify",
+    "estimate_cost", "certify",
     "VERDICT_OPTIMAL", "VERDICT_SUBOPTIMAL", "VERDICT_INCONCLUSIVE",
     # benchmarks
     "AdvertisingParams", "advertising_coefficients", "advertising_value",

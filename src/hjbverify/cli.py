@@ -287,15 +287,19 @@ def cmd_solve(cfg: dict, out_dir: str) -> list[dict]:
     return []
 
 
+def _run_window(cfg: dict, problem) -> tuple[float, float | None]:
+    """(t0, until) of a run: discounted kinds run from 0 to truncation_t1."""
+    if isinstance(problem.horizon, DiscountedInfinite):
+        return 0.0, float(cfg["verify"]["truncation_t1"])
+    return float(cfg["verify"]["t0"]), None
+
+
 def cmd_simulate(cfg: dict, out_dir: str) -> list[dict]:
     problem, params = _build_problem(cfg)
     policy = _build_policy(cfg, problem, params)
     sim = _build_sim_config(cfg)
-    t0, x0 = float(cfg["verify"]["t0"]), float(cfg["verify"]["x0"])
-    until = None
-    if isinstance(problem.horizon, DiscountedInfinite):
-        t0 = 0.0
-        until = float(cfg["verify"]["truncation_t1"])
+    t0, until = _run_window(cfg, problem)
+    x0 = float(cfg["verify"]["x0"])
     est = verify.estimate_cost(problem, policy, t0, x0, sim, until=until)
     batch = sde.simulate(problem, policy, t0, x0, sim, until=until,
                          path_range=(0, min(sim.n_paths, _N_DUMP_PATHS)))
@@ -358,7 +362,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
     policy = _build_policy(cfg, problem, params)
     sim = _build_sim_config(cfg)
     v = cfg["verify"]
-    t0, x0 = float(v["t0"]), float(v["x0"])
+    t0, until = _run_window(cfg, problem)
+    x0 = float(v["x0"])
     tolerance = float(v["tolerance"]) if "tolerance" in v else None
     c1, c2 = float(v["c1"]), float(v["c2"])
 
@@ -368,16 +373,11 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
         field = _solve_field(cfg, problem, params)
         source = field
 
-    if isinstance(problem.horizon, DiscountedInfinite):
-        report = verify.discounted_verify(problem, source, policy, x0,
-                                          float(v["truncation_t1"]), sim,
-                                          c1=c1, c2=c2, tolerance=tolerance)
-        certificate = None
-    else:
-        certificate = verify.certify(problem, source, policy, t0, x0, sim,
-                                     c1=c1, c2=c2, tolerance=tolerance,
-                                     necessity_scan=True)
-        report = certificate.evidence
+    certificate = verify.certify(problem, source, policy, t0, x0, sim, until=until,
+                                 c1=c1, c2=c2, tolerance=tolerance, necessity_scan=True)
+    report = certificate.evidence
+    if until is not None:
+        certificate = None  # discounted reports carry the identity only
 
     hypotheses = _hypotheses_dict(problem, cfg)
     diagnostics = _diagnostics_dict(problem, source, field, cfg)

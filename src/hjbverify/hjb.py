@@ -305,8 +305,7 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
     T = prob.horizon.terminal_time
     if grid.t_final is None:
         grid = dataclasses.replace(grid, t_final=T)
-    elif abs(grid.t_final - T) > 1e-12 * (1.0 + abs(T)):
-        raise ValueError(f"grid must end at the problem horizon T={T}, got {grid.t_final}")
+    _require_end(grid, T)
 
     xcol = grid.xs.reshape(-1, 1)
     nx, nt = grid.nx, grid.nt
@@ -383,6 +382,11 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
     return field
 
 
+def _require_end(grid: Grid1D, T: float) -> None:
+    if abs(grid.t_final - T) > 1e-12 * (1.0 + abs(T)):
+        raise ValueError(f"grid must end at the problem horizon T={T}, got {grid.t_final}")
+
+
 def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system (sub-, main and super-diagonal), overwriting
@@ -446,11 +450,13 @@ def residual(
     reused here when ``problem`` is the very object the field was solved for
     (an identity check), so only level 0 minimizes H0 again.  Any other field
     or problem has H0 computed row by row; the residual is the same bits
-    either way.
+    either way.  The field's grid must end at a finite horizon's T.
     """
     prob = canonicalize(problem)
     maximize = problem.sense == "maximize"
     grid = field.grid
+    if isinstance(problem.horizon, FiniteHorizon):
+        _require_end(grid, problem.horizon.terminal_time)
     xs, ts = grid.xs, grid.ts
     dx, dt = grid.dx, grid.dt
     vals = -field.values if maximize else field.values
@@ -557,9 +563,10 @@ def gradient_diagnostics(source, problem: ControlProblem, probe_points=None) -> 
     the field's interior nodes; required for other sources).  The blow-up
     exponent for a kink x0 is the slope of log |v_xx(0, x0 + h)| against
     log h, over 25 log-spaced h in [1e-3, 1e-1] for a closed form and over
-    the grid nodes right of x0 for a field; second differences below the
-    smoothness floor are treated as zero and a fully floored profile reports
-    exponent 0.0 (no blow-up).
+    the grid nodes right of x0 for a field (None when x0 lies left of the
+    grid or fewer than four nodes lie right of it); second differences below
+    the smoothness floor are treated as zero and a fully floored profile
+    reports exponent 0.0 (no blow-up).
     """
     T = problem.horizon.terminal_time
     if probe_points is None:
@@ -605,7 +612,7 @@ def _field_blowup(field: SpaceTimeField, kink: float, floor: float):
     d2 = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / grid.dx**2
     h = xs[1:-1] - kink
     mask = h > 0.5 * grid.dx
-    if np.count_nonzero(mask) < 4:
+    if kink < grid.x_min or np.count_nonzero(mask) < 4:  # the grid does not probe the kink
         return None
     return _fit_blowup(h[mask], d2[mask], floor)
 

@@ -150,7 +150,8 @@ class SimConfig:
     """Monte Carlo configuration.
 
     ``dt`` must resolve the horizon with at least 10 steps (checked when the
-    horizon is known, at simulation time).  ``seed`` is reduced mod 2^64.
+    horizon is known, at simulation time).  ``seed`` is an integer (a float
+    raises), reduced mod 2^64.
     """
 
     dt: float
@@ -166,7 +167,7 @@ class SimConfig:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if self.exit_rule not in ("grid_crossing", "brownian_bridge"):
             raise ValueError(f"unknown exit rule {self.exit_rule!r}")
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        object.__setattr__(self, "seed", as_size(self.seed, "seed") & _MASK64)
 
 
 class ConstantPolicy:

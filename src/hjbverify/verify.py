@@ -14,9 +14,10 @@ own.
 The gap integral is exactly the policy's suboptimality, which turns the
 identity into a certificate: a gap statistically indistinguishable from zero
 certifies optimality up to tolerance, and a significantly positive one
-quantifies the loss.  For discounted infinite-horizon problems the identity is
-checked over a truncated window [0, T1] with the tail E[e^{−rate·T1} v(y(T1))]
-folded in explicitly.
+quantifies the loss.  :func:`certify` runs the check on either horizon: for
+discounted infinite-horizon problems over a truncated window [t0, T1] (its
+``until``) with the tail E[e^{−rate(T1−t0)} v(y(T1))] folded in explicitly.
+:func:`estimate_cost` runs the same simulation without a candidate.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ __all__ = [
     "Certificate",
     "ClosedFormValue",
     "estimate_cost",
-    "fundamental_identity",
     "certify",
-    "discounted_verify",
     "VERDICT_OPTIMAL",
     "VERDICT_SUBOPTIMAL",
     "VERDICT_INCONCLUSIVE",
@@ -77,16 +76,18 @@ class CostEstimate:
 class IdentityReport:
     """One fundamental-identity check: J = v + E∫ gap, with a paired defect.
 
-    ``cost`` and ``v_at_start`` are reported in the problem's declared sense;
+    It is the ``evidence`` of a :class:`Certificate`.  ``cost`` and
+    ``v_at_start`` are reported in the problem's declared sense;
     ``gap_integral`` is sense-independent and nonnegative up to Monte Carlo
     noise.  ``identity_defect`` is computed in the canonical minimize
     orientation, |Ĵ_min − v_min − ĝap|, estimated pathwise on common random
     numbers — for maximize problems the displayed accounting therefore reads
-    v ≈ Ĵ + gap.  ``passed`` ⇔ identity_defect ≤ tolerance_used.
+    v ≈ Ĵ + gap.  ``passed`` ⇔ identity_defect ≤ tolerance_used and, for a
+    discounted problem, tail_bound ≤ tolerance_used.
 
-    ``tail_magnitude``/``tail_bound`` are populated by
-    :func:`discounted_verify` only: the truncation tail E[e^{−rate·T1} v] and
-    its a-priori bound e^{−rate·T1}·sup|v| over the sampled end states.
+    ``tail_magnitude``/``tail_bound`` are populated for discounted problems
+    only: the truncation tail E[e^{−rate(T1−t0)} v] and its a-priori bound
+    e^{−rate(T1−t0)}·sup|v| over the sampled end states.
     """
 
     v_at_start: float
@@ -287,8 +288,8 @@ def _monte_carlo(
     chunk_size: int,
     c1: float = 0.0,
     c2: float = 0.0,
-) -> tuple[_ChunkTerms, float]:
-    """The one Monte Carlo run behind every estimator: its terms and step dt.
+) -> tuple[_ChunkTerms, float, float]:
+    """The one Monte Carlo run behind every estimator: its terms, the field's Δx and step dt.
 
     Each chunk of paths is streamed through an :class:`_Integrand` (with the
     gap scan iff a candidate ``source`` is given) and the chunks' terms are
@@ -332,7 +333,7 @@ def _monte_carlo(
             f"{run.n_escaped} of {total} paths left the candidate field's grid "
             f"[{bounds[0]}, {bounds[1]}] (> 0.1%); solve on a larger grid"
         )
-    return run, dt
+    return run, dx, dt
 
 
 def _estimate(values: np.ndarray, discarded: int, sign: float = 1.0) -> CostEstimate:
@@ -364,12 +365,12 @@ def estimate_cost(
     boundary cost at (τ, y(τ)) for paths that exit the domain first.
     Discounted problems integrate e^{−rate(s−t0)}·l1 with exact per-step
     discount weights over [t0, until] — truncated, with no tail correction
-    (see :func:`discounted_verify` for the tail-corrected identity form).
+    (:func:`certify` checks the tail-corrected identity over [t0, until]).
 
     Maximize-sense problems report the original-sign value.  Diverged paths
     are discarded and counted; a discarded fraction above 0.1% raises.
     """
-    run, _ = _monte_carlo(problem, None, policy, t0, x0, sim_config, until, chunk_size)
+    run, _, _ = _monte_carlo(problem, None, policy, t0, x0, sim_config, until, chunk_size)
     return _estimate(run.cost, run.n_discarded, sign=_orientation(problem)[0])
 
 
@@ -378,27 +379,76 @@ def estimate_cost(
 # ---------------------------------------------------------------------------
 
 
-def _identity_run(
+def certify(
     problem: ControlProblem,
     source,
     policy,
     t0: float,
     x0,
     sim_config: SimConfig,
-    until: float | None,
-    c1: float,
-    c2: float,
-    tolerance: float | None,
-    chunk_size: int,
-) -> tuple[IdentityReport, dict]:
+    *,
+    until: float | None = None,
+    c1: float = 1.0,
+    c2: float = 1.0,
+    tolerance: float | None = None,
+    necessity_scan: bool = False,
+    ladder=None,
+    chunk_size: int = _CHUNK,
+) -> Certificate:
+    """Check J = v + E∫ gap ds on common random numbers and certify the policy.
+
+    ``source`` is the candidate value function: a solved
+    :class:`~hjbverify.hjb.SpaceTimeField` (linear interpolation in x,
+    piecewise-constant-from-the-left in t), a :class:`ClosedFormValue`, or
+    any object with ``value_at``/``gradient_at``.  Cost and gap integral are
+    evaluated along the *same* paths, so the defect |Ĵ − v − ĝap| is a paired
+    statistic; the certificate's ``evidence`` reports it.
+
+    Finite-horizon problems run to T and reject ``until``.  Discounted
+    problems need ``until``, the truncation time T1: the per-path cost
+    includes the exact per-step discount weights *and* the tail term
+    e^{−rate(T1−t0)} v(y(T1)), so for bounded v the truncation error is at
+    most e^{−rate(T1−t0)}·sup|v| — the realized tail magnitude and that bound
+    are both reported, and a bound above the tolerance fails the identity
+    with advice to raise T1.  A field whose time grid does not cover
+    [t0, T] (or [t0, T1]) raises.
+
+    The tolerance is 3·SE(paired defect) + c1·Δx + c2·sqrt(dt) — statistical
+    noise plus declared discretization allowance (Δx = 0 for closed-form
+    sources); an explicit ``tolerance`` replaces the whole formula.  States
+    escaping a field-backed grid are flagged per path; more than 0.1% raises
+    with advice to solve on a larger grid.
+
+    If the identity check fails the verdict is ``inconclusive`` (never a
+    false positive); otherwise the margin (gap mean) is compared against
+    3·SE(gap) plus the allowance (or the explicit ``tolerance``).
+    ``ladder`` may be an :class:`~hjbverify.hjb.ApproximationLadder` (or a
+    bool): only a *passed* ladder, or a closed-form source, justifies reading
+    the candidate as a strong-solution proxy whose value lower-bounds every
+    policy — the certificate's ``lower_bound_note`` records exactly what is
+    claimed.  With ``necessity_scan`` the fraction of (path, step) points
+    whose pointwise gap exceeds the allowance is reported; for an optimal
+    policy it must be ~0, conditional on the candidate being the true value
+    function.
+    """
     flip, rate = _orientation(problem)
+    if rate is None and until is not None:
+        raise ValueError("finite-horizon problems run to their terminal time T; "
+                         "`until` is the truncation time of discounted problems only")
+    if rate is not None and until is None:
+        raise ValueError("discounted problems need an explicit truncation time `until`")
+    end = problem.horizon.terminal_time if rate is None else float(until)
+    grid = getattr(source, "grid", None)
+    if grid is not None and not (grid.t0 <= t0 + 1e-12 * (1.0 + abs(t0))
+                                 and grid.t_final >= end - 1e-12 * (1.0 + abs(end))):
+        raise ValueError(f"the candidate field's time grid [{grid.t0}, {grid.t_final}] "
+                         f"does not cover the run [{t0}, {end}]")
     xb, _ = as_point_batch(x0, problem.dimension)
     v_orig = float(np.asarray(source.value_at(t0, xb), dtype=float).reshape(-1)[0])
-    v_min = flip * v_orig
-    dx = getattr(getattr(source, "grid", None), "dx", 0.0)
 
-    run, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, chunk_size,
-                           c1, c2)
+    run, dx, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, chunk_size,
+                               c1, c2)
+    allowance = c1 * dx + c2 * math.sqrt(dt)
     notes: list[str] = []
     if run.n_escaped:
         notes.append(
@@ -410,7 +460,7 @@ def _identity_run(
     tail_bound = None
     if rate is not None:
         tail_magnitude = abs(float(np.mean(run.tail)))
-        tail_bound = math.exp(-rate * (until - t0)) * run.v_end_max
+        tail_bound = math.exp(-rate * (end - t0)) * run.v_end_max
         if run.v_end_max > 1e8:
             log.warning(
                 "candidate value reaches |v| = %.3e on sampled end states; "
@@ -423,8 +473,7 @@ def _identity_run(
         )
 
     paired = _estimate(run.cost - run.gap, run.n_discarded)
-    defect = abs(paired.mean - v_min)
-    allowance = c1 * dx + c2 * math.sqrt(dt)
+    defect = abs(paired.mean - flip * v_orig)
     tol_used = float(tolerance) if tolerance is not None else 3.0 * paired.std_error + allowance
     passed = defect <= tol_used
     log.info(
@@ -440,10 +489,11 @@ def _identity_run(
             "truncation_T1 until e^(-rate*T1)*sup|v| is negligible"
         )
 
+    gap = _estimate(run.gap, run.n_discarded)
     report = IdentityReport(
         v_at_start=v_orig,
         cost=_estimate(run.cost, run.n_discarded, sign=flip),
-        gap_integral=_estimate(run.gap, run.n_discarded),
+        gap_integral=gap,
         identity_defect=defect,
         tolerance_used=tol_used,
         passed=passed,
@@ -451,101 +501,20 @@ def _identity_run(
         tail_magnitude=tail_magnitude,
         tail_bound=tail_bound,
     )
-    extra = {
-        "allowance": allowance,
-        "necessity_fraction": (run.n_violations / run.n_points) if run.n_points else 0.0,
-    }
-    return report, extra
-
-
-def fundamental_identity(
-    problem: ControlProblem,
-    source,
-    policy,
-    t0: float,
-    x0,
-    sim_config: SimConfig,
-    *,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    tolerance: float | None = None,
-    chunk_size: int = _CHUNK,
-) -> IdentityReport:
-    """Check J = v + E∫ gap ds on common random numbers.
-
-    ``source`` is the candidate value function: a solved
-    :class:`~hjbverify.hjb.SpaceTimeField` (linear interpolation in x,
-    piecewise-constant-from-the-left in t), a closed-form solution object, or
-    any object with ``value_at``/``gradient_at``.  Cost and gap integral are
-    evaluated along the *same* paths, so the defect |Ĵ − v − ĝap| is a paired
-    statistic.
-
-    The tolerance is 3·SE(paired defect) + c1·Δx + c2·sqrt(dt) — statistical
-    noise plus declared discretization allowance (Δx = 0 for closed-form
-    sources); an explicit ``tolerance`` replaces the whole formula.  States
-    escaping a field-backed grid are flagged per path; more than 0.1% raises
-    with advice to solve on a larger grid.
-    """
-    if isinstance(problem.horizon, DiscountedInfinite):
-        raise ValueError(
-            "fundamental_identity handles finite-horizon problems; use "
-            "discounted_verify for discounted infinite-horizon ones"
-        )
-    report, _ = _identity_run(problem, source, policy, t0, x0, sim_config,
-                              until=None, c1=c1, c2=c2, tolerance=tolerance,
-                              chunk_size=chunk_size)
-    return report
-
-
-def certify(
-    problem: ControlProblem,
-    source,
-    policy,
-    t0: float,
-    x0,
-    sim_config: SimConfig,
-    *,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    tolerance: float | None = None,
-    necessity_scan: bool = False,
-    ladder=None,
-    chunk_size: int = _CHUNK,
-) -> Certificate:
-    """Certify (sub)optimality of a policy against a candidate value function.
-
-    Runs :func:`fundamental_identity` and turns the gap integral into a
-    verdict: if the identity check fails the verdict is ``inconclusive``
-    (never a false positive); otherwise the margin (gap mean) is compared
-    against 3·SE(gap) plus the deterministic allowance.
-
-    ``ladder`` may be an :class:`~hjbverify.hjb.ApproximationLadder` (or a
-    bool): only a *passed* ladder, or a closed-form source, justifies reading
-    the candidate as a strong-solution proxy whose value lower-bounds every
-    policy — the certificate's ``lower_bound_note`` records exactly what is
-    claimed.  With ``necessity_scan`` the pointwise gap is additionally
-    scanned along the paths; for an optimal policy the violating fraction must
-    be ~0, conditional on the candidate being the true value function.
-    """
-    report, extra = _identity_run(problem, source, policy, t0, x0, sim_config,
-                                  until=None, c1=c1, c2=c2, tolerance=tolerance,
-                                  chunk_size=chunk_size)
-    margin = report.gap_integral.mean
-    margin_tol = 3.0 * report.gap_integral.std_error + (
-        float(tolerance) if tolerance is not None else extra["allowance"]
-    )
-    if not report.passed:
+    margin_tol = 3.0 * gap.std_error + (float(tolerance) if tolerance is not None else allowance)
+    if not passed:
         verdict = VERDICT_INCONCLUSIVE
-    elif margin <= margin_tol:
+    elif gap.mean <= margin_tol:
         verdict = VERDICT_OPTIMAL
     else:
         verdict = VERDICT_SUBOPTIMAL
+    necessity = (run.n_violations / run.n_points) if run.n_points else 0.0
     return Certificate(
         verdict=verdict,
-        optimality_margin=margin,
+        optimality_margin=gap.mean,
         evidence=report,
         lower_bound_note=_lower_bound_note(source, ladder),
-        necessity_fraction=extra["necessity_fraction"] if necessity_scan else None,
+        necessity_fraction=necessity if necessity_scan else None,
     )
 
 
@@ -574,33 +543,3 @@ def _lower_bound_note(source, ladder) -> str:
         "candidate cannot be read as a strong-solution proxy."
     )
 
-
-def discounted_verify(
-    problem: ControlProblem,
-    closed_form,
-    policy,
-    x0,
-    truncation_T1: float,
-    sim_config: SimConfig,
-    *,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    tolerance: float | None = None,
-    chunk_size: int = _CHUNK,
-) -> IdentityReport:
-    """Fundamental identity for discounted problems, truncated at T1.
-
-    Checks  Ĵ = v(x0) + E ∫_0^{T1} e^{−rate·s} gap ds  where the per-path cost
-    Ĵ includes the exact per-step discount weights *and* the tail term
-    e^{−rate·T1} v(y(T1)), so for bounded v the truncation error is at most
-    e^{−rate·T1}·sup|v| — both the realized tail magnitude and that bound are
-    reported.  A tail bound above the tolerance fails the report with advice
-    to raise ``truncation_T1``; the candidate's boundedness on the sampled
-    region is checked empirically (warning if it looks unbounded).
-    """
-    if not isinstance(problem.horizon, DiscountedInfinite):
-        raise ValueError("discounted_verify requires a DiscountedInfinite horizon")
-    report, _ = _identity_run(problem, closed_form, policy, 0.0, x0, sim_config,
-                              until=float(truncation_T1), c1=c1, c2=c2,
-                              tolerance=tolerance, chunk_size=chunk_size)
-    return report

@@ -32,7 +32,6 @@ from hjbverify import (
     certify,
     cli,
     discounted_demo_solution,
-    discounted_verify,
     duality_gap,
     estimate_cost,
     gradient_diagnostics,
@@ -294,7 +293,7 @@ def test_a10_discounted_truncation_tail_accounting():
     solution = discounted_demo_solution(rate=1.0, cost=2.0)
     cfg = SimConfig(dt=0.01, n_paths=64, seed=3)
 
-    report = discounted_verify(prob, solution, ZERO, 0.0, 20.0, cfg)
+    report = certify(prob, solution, ZERO, 0.0, 0.0, cfg, until=20.0).evidence
     assert report.passed
     assert report.identity_defect <= 1e-10
     assert abs(report.cost.mean - 2.0) <= (
@@ -303,7 +302,7 @@ def test_a10_discounted_truncation_tail_accounting():
     assert report.tail_magnitude <= report.tail_bound
     assert report.tail_bound == pytest.approx(2.0 * math.exp(-20.0), rel=1e-12)
 
-    doubled = discounted_verify(prob, solution, ZERO, 0.0, 40.0, cfg)
+    doubled = certify(prob, solution, ZERO, 0.0, 0.0, cfg, until=40.0).evidence
     assert doubled.passed
     assert abs(doubled.identity_defect - report.identity_defect) <= 1e-12
 

@@ -17,6 +17,7 @@ from hjbverify import (
     field_from_callable,
     gradient_diagnostics,
     make_discounted_demo,
+    make_exit_demo,
     refine_ladder,
     residual,
     solve_exit,
@@ -244,6 +245,12 @@ class TestResidual:
         rep = residual(field, adv_problem)
         assert rep.sup_interior_residual <= 1e-2
 
+    def test_field_of_another_horizon_rejected(self, exit_time_problem):
+        short = solve_exit(make_exit_demo("expected_exit_time", horizon=0.5),
+                           Grid1D(0.0, 1.0, 41, 100))
+        with pytest.raises(ValueError, match="must end at the problem horizon T=3.0"):
+            residual(short, exit_time_problem)
+
 
 class TestResidualReusesMarchRows:
     """A solved field's residual reads H0 at levels 1..nt from the march.
@@ -425,6 +432,26 @@ class TestGradientDiagnostics:
         assert diag.blowup_exponents[0.0] == pytest.approx(-0.5, abs=0.05)
         assert np.isfinite(diag.weighted_gradient_sup)
         assert diag.weighted_gradient_sup > 0
+
+    @staticmethod
+    def _sampled_advertising(adv_params, x_min, x_max, nx):
+        return field_from_callable(lambda t, xs: advertising_value(adv_params, t, xs),
+                                   Grid1D(x_min, x_max, nx, 20, t_final=1.0))
+
+    def test_field_blowup_exponent(self, adv_params, adv_problem):
+        # v ~ |x|^(1+eta) near the kink at 0, so v_xx ~ h^(eta-1) = h^-0.5.
+        field = self._sampled_advertising(adv_params, -1.0, 2.0, 301)
+        diag = gradient_diagnostics(field, adv_problem)
+        assert diag.blowup_exponents[0.0] == pytest.approx(-0.5, abs=0.01)
+
+    def test_field_kink_left_of_the_grid_has_no_exponent(self, adv_params, adv_problem):
+        field = self._sampled_advertising(adv_params, 0.5, 2.0, 61)
+        assert gradient_diagnostics(field, adv_problem).blowup_exponents == {0.0: None}
+
+    def test_constant_field_has_exponent_zero(self, adv_problem):
+        field = field_from_callable(lambda t, xs: np.ones_like(xs),
+                                    Grid1D(-1.0, 2.0, 31, 10, t_final=1.0))
+        assert gradient_diagnostics(field, adv_problem).blowup_exponents == {0.0: 0.0}
 
     def test_probe_points_required_for_closed_form(self, adv_problem, adv_solution):
         with pytest.raises(ValueError, match="probe_points are required"):

@@ -76,6 +76,16 @@ class TestSimConfig:
             SimConfig(dt=0.1, n_paths=3.0, seed=0)
         assert SimConfig(dt=0.1, n_paths=np.int64(3), seed=0).n_paths == 3
 
+    @pytest.mark.parametrize("seed", [0.9, np.float64(7.5), 2.0])
+    def test_float_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            SimConfig(dt=0.01, n_paths=4, seed=seed)
+
+    def test_integer_seeds_reduce_mod_2_64(self):
+        assert SimConfig(dt=0.01, n_paths=4, seed=np.int64(7)).seed == 7
+        assert SimConfig(dt=0.01, n_paths=4, seed=-1).seed == 2**64 - 1
+        assert SimConfig(dt=0.01, n_paths=4, seed=2**64 + 5).seed == 5
+
     def test_dt_must_resolve_horizon(self):
         prob = _drift_problem(lambda t, x: -x)
         with pytest.raises(ValueError, match="horizon/10"):

@@ -14,6 +14,7 @@ from hjbverify import (
     ConstantPolicy,
     ControlProblem,
     ControlSet,
+    Domain,
     FeedbackPolicy,
     FiniteHorizon,
     Grid1D,
@@ -22,12 +23,13 @@ from hjbverify import (
     advertising_value,
     certify,
     discounted_demo_solution,
-    discounted_verify,
     estimate_cost,
     field_from_callable,
-    fundamental_identity,
     make_discounted_demo,
+    make_exit_demo,
+    probe_hypotheses,
     simulate,
+    solve_exit,
 )
 from hjbverify import sde
 from hjbverify.hamiltonian import _clamped_gap, _minimize_batch
@@ -110,7 +112,6 @@ class TestEstimateCost:
         zero = ClosedFormValue(lambda t, x: np.zeros(x.shape[0]), lambda t, x: np.zeros_like(x))
         # Cost and identity estimators share one run, hence one divergence budget.
         for estimate in (lambda: estimate_cost(prob, ZERO, 0.0, 0.0, cfg),
-                         lambda: fundamental_identity(prob, zero, ZERO, 0.0, 0.0, cfg),
                          lambda: certify(prob, zero, ZERO, 0.0, 0.0, cfg)):
             with pytest.raises(RuntimeError, match="decrease dt"):
                 estimate()
@@ -125,8 +126,8 @@ class TestEstimateCost:
 class TestFundamentalIdentity:
     def test_feedback_on_closed_form(self, adv_params, adv_problem, adv_solution):
         cfg = SimConfig(dt=2e-3, n_paths=2000, seed=7)
-        rep = fundamental_identity(adv_problem, adv_solution,
-                                   _feedback_policy(adv_params), 0.0, 2.0, cfg)
+        rep = certify(adv_problem, adv_solution,
+                      _feedback_policy(adv_params), 0.0, 2.0, cfg).evidence
         assert rep.passed
         assert rep.v_at_start == pytest.approx(FEEDBACK_VALUE, rel=1e-12)
         # The feedback control attains the Hamiltonian infimum pointwise, so
@@ -141,7 +142,7 @@ class TestFundamentalIdentity:
 
     def test_zero_policy_gap_is_the_shortfall(self, adv_problem, adv_solution):
         cfg = SimConfig(dt=2e-3, n_paths=2000, seed=7)
-        rep = fundamental_identity(adv_problem, adv_solution, ZERO, 0.0, 2.0, cfg)
+        rep = certify(adv_problem, adv_solution, ZERO, 0.0, 2.0, cfg).evidence
         assert rep.passed
         g = rep.gap_integral
         assert g.mean > 10 * g.std_error
@@ -152,25 +153,37 @@ class TestFundamentalIdentity:
 
     def test_explicit_tolerance_replaces_formula(self, adv_problem, adv_solution):
         cfg = SimConfig(dt=0.01, n_paths=100, seed=9)
-        rep = fundamental_identity(adv_problem, adv_solution, ZERO, 0.0, 2.0, cfg,
-                                   tolerance=1e-12)
+        rep = certify(adv_problem, adv_solution, ZERO, 0.0, 2.0, cfg,
+                      tolerance=1e-12).evidence
         assert rep.tolerance_used == 1e-12
         assert not rep.passed
 
     def test_discounted_horizon_rejected(self):
         prob = make_discounted_demo(1.0, 1.0)
         sol = discounted_demo_solution(1.0, 1.0)
-        with pytest.raises(ValueError, match="discounted_verify"):
-            fundamental_identity(prob, sol, ZERO, 0.0, 0.0,
-                                 SimConfig(dt=0.01, n_paths=4, seed=0))
+        with pytest.raises(ValueError, match="explicit truncation time `until`"):
+            certify(prob, sol, ZERO, 0.0, 0.0, SimConfig(dt=0.01, n_paths=4, seed=0))
 
     def test_escaping_field_grid_raises(self, adv_params, adv_problem):
         narrow = field_from_callable(
             lambda t, xs: advertising_value(adv_params, t, xs),
             Grid1D(1.5, 2.5, 21, 20, t_final=1.0))
         with pytest.raises(RuntimeError, match="larger grid"):
-            fundamental_identity(adv_problem, narrow, ZERO, 0.0, 2.0,
-                                 SimConfig(dt=0.01, n_paths=200, seed=3))
+            certify(adv_problem, narrow, ZERO, 0.0, 2.0,
+                    SimConfig(dt=0.01, n_paths=200, seed=3))
+
+    def test_field_must_cover_the_run(self, adv_params, adv_problem, exit_time_problem):
+        # A field solved to 0.5 would be clamped to its last level on (0.5, 3].
+        short = solve_exit(make_exit_demo("expected_exit_time", horizon=0.5),
+                           Grid1D(0.0, 1.0, 41, 100))
+        cfg = SimConfig(dt=0.01, n_paths=400, seed=0)
+        with pytest.raises(ValueError, match=r"\[0.0, 0.5\] does not cover the run \[0.0, 3.0\]"):
+            certify(exit_time_problem, short, ZERO, 0.0, 0.5, cfg)
+        late = field_from_callable(lambda t, xs: advertising_value(adv_params, t, xs),
+                                   Grid1D(0.05, 8.0, 160, 10, t_final=1.0, t0=0.5))
+        with pytest.raises(ValueError, match="does not cover"):
+            certify(adv_problem, late, ZERO, 0.0, 2.0, cfg)
+        certify(adv_problem, late, ZERO, 0.5, 2.0, cfg)
 
 
 class TestCertify:
@@ -224,8 +237,8 @@ class TestDiscountedVerify:
     def test_constant_demo_identity(self):
         prob = make_discounted_demo(0.5, 2.0)
         sol = discounted_demo_solution(0.5, 2.0)
-        rep = discounted_verify(prob, sol, ZERO, 0.0, truncation_T1=20.0,
-                                sim_config=SimConfig(dt=0.01, n_paths=64, seed=3))
+        rep = certify(prob, sol, ZERO, 0.0, 0.0, SimConfig(dt=0.01, n_paths=64, seed=3),
+                      until=20.0).evidence
         assert rep.passed
         assert rep.v_at_start == 4.0
         assert rep.identity_defect <= 1e-10
@@ -239,18 +252,17 @@ class TestDiscountedVerify:
     def test_short_truncation_fails_with_advice(self):
         prob = make_discounted_demo(0.5, 2.0)
         sol = discounted_demo_solution(0.5, 2.0)
-        rep = discounted_verify(prob, sol, ZERO, 0.0, truncation_T1=2.0,
-                                sim_config=SimConfig(dt=0.01, n_paths=16, seed=3),
-                                tolerance=1e-6)
+        rep = certify(prob, sol, ZERO, 0.0, 0.0, SimConfig(dt=0.01, n_paths=16, seed=3),
+                      until=2.0, tolerance=1e-6).evidence
         assert rep.identity_defect <= 1e-6    # the identity itself is exact
         assert not rep.passed                 # but the tail bound dwarfs it
         assert rep.tail_bound > 1e-6
         assert any("raise" in n and "truncation_T1" in n for n in rep.notes)
 
     def test_requires_discounted_horizon(self, adv_problem, adv_solution):
-        with pytest.raises(ValueError, match="DiscountedInfinite"):
-            discounted_verify(adv_problem, adv_solution, ZERO, 2.0, 10.0,
-                              SimConfig(dt=0.01, n_paths=4, seed=0))
+        with pytest.raises(ValueError, match="`until` is the truncation time of discounted"):
+            certify(adv_problem, adv_solution, ZERO, 0.0, 2.0,
+                    SimConfig(dt=0.01, n_paths=4, seed=0), until=10.0)
 
     def test_estimate_cost_needs_until(self):
         prob = make_discounted_demo(0.5, 2.0)
@@ -263,6 +275,77 @@ class TestDiscountedVerify:
                             SimConfig(dt=0.01, n_paths=8, seed=0), until=20.0)
         assert est.mean == pytest.approx(4.0 * (1.0 - math.exp(-10.0)), abs=1e-9)
         assert est.std_error == 0.0
+
+
+SIGMA_2D = 0.5
+
+
+def _lq_2d(closed_form: bool = True) -> ControlProblem:
+    """dX = z dt + σ dW in R², cost ∫|z|² ds + |X_T|² on [0, 1], z unconstrained.
+
+    H0(p) = min_z z·p + |z|² = −|p|²/4 at z = −p/2, so v = a(t)|x|² +
+    2σ² log(1 + T − t) with a = 1/(1 + T − t), and the feedback is z = −a x.
+    """
+    def hamiltonian(t, x, p):
+        return -0.25 * np.einsum("pn,pn->p", p, p), -0.5 * p
+
+    return ControlProblem(
+        dimension=2, noise_dimension=2,
+        horizon=FiniteHorizon(1.0, lambda x: np.einsum("pn,pn->p", x, x)),
+        drift_uncontrolled=lambda t, x: np.zeros_like(x),
+        drift_controlled=lambda t, x, z: z,
+        diffusion=lambda t, x: np.tile(SIGMA_2D * np.eye(2), (x.shape[0], 1, 1)),
+        running_cost=lambda t, x, z: np.einsum("pk,pk->p", z, z),
+        control_set=ControlSet.box([-np.inf, -np.inf], [np.inf, np.inf]),
+        closed_form_hamiltonian=hamiltonian if closed_form else None,
+    )
+
+
+LQ_2D_VALUE = ClosedFormValue(
+    lambda t, x: np.einsum("pn,pn->p", x, x) / (2.0 - t) + 2.0 * SIGMA_2D**2 * np.log(2.0 - t),
+    lambda t, x: 2.0 * x / (2.0 - t),
+    dimension=2,
+)
+LQ_2D_FEEDBACK = FeedbackPolicy(lambda t, x: -x / (2.0 - t))
+LQ_2D_X0 = [1.0, -0.5]
+
+
+class TestTwoDimensionalLQ:
+    def test_feedback_is_optimal(self):
+        cert = certify(_lq_2d(), LQ_2D_VALUE, LQ_2D_FEEDBACK, 0.0, LQ_2D_X0,
+                       SimConfig(dt=1e-2, n_paths=4000, seed=21), necessity_scan=True)
+        assert cert.verdict == VERDICT_OPTIMAL
+        assert cert.optimality_margin == 0.0
+        assert cert.necessity_fraction == 0.0
+        assert cert.evidence.v_at_start == pytest.approx(1.25 / 2.0 + 0.5 * math.log(2.0))
+
+    def test_zero_policy_is_suboptimal(self):
+        cfg = SimConfig(dt=1e-2, n_paths=4000, seed=21)
+        cert = certify(_lq_2d(), LQ_2D_VALUE, ConstantPolicy([0.0, 0.0]), 0.0, LQ_2D_X0, cfg)
+        assert cert.verdict == VERDICT_SUBOPTIMAL
+        # J(zero) = |x0|² + 2σ²T, so the margin J − v is 1.25 + 0.5 − v(0, x0),
+        # up to the O(dt) bias of the left-endpoint quadrature.
+        margin = 1.75 - (1.25 / 2.0 + 0.5 * math.log(2.0))
+        se = cert.evidence.gap_integral.std_error
+        assert abs(cert.optimality_margin - margin) <= 3.0 * se + 2.0 * cfg.dt
+
+    def test_feedback_is_optimal_under_the_box_scan(self):
+        cert = certify(_lq_2d(closed_form=False), LQ_2D_VALUE, LQ_2D_FEEDBACK, 0.0, LQ_2D_X0,
+                       SimConfig(dt=0.02, n_paths=200, seed=21), necessity_scan=True)
+        # The scan's H0 is never below the true minimum H_cv(feedback), so the
+        # clamped gap is still exactly zero.
+        assert cert.verdict == VERDICT_OPTIMAL
+        assert cert.optimality_margin == 0.0
+        assert cert.necessity_fraction == 0.0
+
+    def test_hypotheses_in_the_plane(self):
+        region = Domain.box([-1.0, -1.0], [1.0, 1.0])
+        assert region.boundary_points().tolist() == [[-1.0, -1.0], [-1.0, 1.0],
+                                                     [1.0, -1.0], [1.0, 1.0]]
+        rep = probe_hypotheses(_lq_2d(), n_samples=50, seed=0, sample_region=region)
+        assert rep.ellipticity_lambda0_estimate == pytest.approx(SIGMA_2D**2, rel=1e-12)
+        assert rep.lipschitz_F0_estimate == 0.0 and rep.lipschitz_F1_estimate == 0.0
+        assert np.isfinite(rep.girsanov_sup_estimate)
 
 
 class TestClosedFormValue:
@@ -435,7 +518,7 @@ class TestStreamedLoopMatchesRewalk:
         source = ClosedFormValue(lambda t, x: x[:, 0] ** 2 + 1.0, lambda t, x: 2.0 * x)
         policy = FeedbackPolicy(lambda t, x: np.clip(-0.5 * x, -1.0, 1.0))
         cfg = SimConfig(dt=0.05, n_paths=24, seed=8)
-        rep = discounted_verify(problem, source, policy, 0.6, 3.0, cfg, chunk_size=16)
+        rep = certify(problem, source, policy, 0.0, 0.6, cfg, until=3.0, chunk_size=16).evidence
         est = estimate_cost(problem, policy, 0.0, 0.6, cfg, until=3.0, chunk_size=16)
         batch = simulate(problem, policy, 0.0, 0.6, cfg, until=3.0)
         cost, gap, _, _, tail = _rewalk(problem, source, batch, with_tail=True)
@@ -444,7 +527,7 @@ class TestStreamedLoopMatchesRewalk:
         assert (est.mean, est.std_error) == _mean_se(cost)
 
 
-def test_discounted_verify_memory_does_not_grow_with_the_horizon(monkeypatch):
+def test_discounted_certify_memory_does_not_grow_with_the_horizon(monkeypatch):
     # Nothing is stored per step: the peak is set by the chunk and the noise
     # block, not by T1.  A small block bound lets both horizons reach the
     # largest block, so only per-step storage could tell them apart.
@@ -455,7 +538,7 @@ def test_discounted_verify_memory_does_not_grow_with_the_horizon(monkeypatch):
     peaks = []
     for t1 in (2.0, 20.0):
         tracemalloc.start()
-        discounted_verify(prob, sol, ZERO, 0.0, truncation_T1=t1, sim_config=cfg)
+        certify(prob, sol, ZERO, 0.0, 0.0, cfg, until=t1)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
