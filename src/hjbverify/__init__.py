@@ -65,12 +65,10 @@ from .problem import (
 )
 from .sde import (
     ConstantPolicy,
-    ExitRecord,
     FeedbackPolicy,
     OpenLoopPolicy,
     PathBatch,
     SimConfig,
-    detect_exit,
     dump_paths_csv,
     gaussian_increments,
     simulate,
@@ -99,7 +97,7 @@ __all__ = [
     "feedback_map",
     # sde
     "SimConfig", "ConstantPolicy", "OpenLoopPolicy", "FeedbackPolicy",
-    "ExitRecord", "PathBatch", "simulate", "simulate_chunks", "detect_exit",
+    "PathBatch", "simulate", "simulate_chunks",
     "gaussian_increments", "dump_paths_csv",
     # hjb
     "Grid1D", "SpaceTimeField", "ResidualReport", "ApproximationLadder",

@@ -314,8 +314,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> list[dict]:
 
 
 def _hypotheses_dict(problem, cfg: dict) -> dict:
-    kind = cfg["problem"]["kind"]
-    if kind == "discounted_constant":
+    if isinstance(problem.horizon, DiscountedInfinite):
         x0 = float(cfg["verify"]["x0"])
         region = (x0 - 1.0, x0 + 1.0)
     else:
@@ -333,21 +332,20 @@ def _hypotheses_dict(problem, cfg: dict) -> dict:
     }
 
 
-def _diagnostics_dict(problem, source, field, cfg: dict) -> dict:
-    out: dict = {"candidate_source": getattr(source, "provenance", "closed_form")}
-    if field is not None:
-        rep = hjb.residual(field, problem)
+def _diagnostics_dict(problem, source, cfg: dict) -> dict:
+    out: dict = {"candidate_source": source.provenance}
+    solved = isinstance(source, hjb.SpaceTimeField)
+    if solved:
+        rep = hjb.residual(source, problem)
         out["sup_interior_residual"] = float(rep.sup_interior_residual)
-        out["grid"] = {"x_min": field.grid.x_min, "x_max": field.grid.x_max,
-                       "nx": field.grid.nx, "nt": field.grid.nt}
+        out["grid"] = {"x_min": source.grid.x_min, "x_max": source.grid.x_max,
+                       "nx": source.grid.nx, "nt": source.grid.nt}
     if not isinstance(problem.horizon, DiscountedInfinite):
-        target = field if field is not None else source
         lo, hi = float(cfg["grid"]["x_min"]), float(cfg["grid"]["x_max"])
         pad = 0.05 * (hi - lo)
         diag = hjb.gradient_diagnostics(
-            target, problem,
-            probe_points=None if field is not None
-            else np.linspace(lo + pad, hi - pad, 40),
+            source, problem,
+            probe_points=None if solved else np.linspace(lo + pad, hi - pad, 40),
         )
         out["weighted_gradient_sup"] = float(diag.weighted_gradient_sup)
         out["blowup_exponents"] = {
@@ -368,19 +366,17 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
     c1, c2 = float(v["c1"]), float(v["c2"])
 
     source = _closed_form_source(cfg, params)
-    field = None
     if source is None:
-        field = _solve_field(cfg, problem, params)
-        source = field
+        source = _solve_field(cfg, problem, params)
 
     certificate = verify.certify(problem, source, policy, t0, x0, sim, until=until,
                                  c1=c1, c2=c2, tolerance=tolerance, necessity_scan=True)
     report = certificate.evidence
-    if until is not None:
+    if isinstance(problem.horizon, DiscountedInfinite):
         certificate = None  # discounted reports carry the identity only
 
     hypotheses = _hypotheses_dict(problem, cfg)
-    diagnostics = _diagnostics_dict(problem, source, field, cfg)
+    diagnostics = _diagnostics_dict(problem, source, cfg)
 
     payload = {
         "identity": dataclasses.asdict(report),

@@ -20,8 +20,11 @@ nothing more, and positions it never reaches are simply never computed.
 Paths halt at their exit step: the state *at* the exit step is the raw Euler
 point (so the update recurrence can be replayed exactly up to and including
 the exit step); a stopped path keeps its end state and last applied control.
-The one step loop calls the policy and coefficients on live rows only; the
+The one step loop applies the exit rule (grid crossing or Brownian bridge)
+as it advances and calls the policy and coefficients on live rows only; the
 estimators run it with a summing integrand, :func:`simulate` a recording one.
+A run on a finite horizon ends at its terminal time T; a discounted one ends
+at its truncation time ``until``, which only discounted runs take.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ __all__ = [
     "ConstantPolicy",
     "OpenLoopPolicy",
     "FeedbackPolicy",
-    "ExitRecord",
     "PathBatch",
     "simulate",
     "simulate_chunks",
-    "detect_exit",
     "gaussian_increments",
     "dump_paths_csv",
 ]
@@ -237,15 +238,6 @@ def _as_policy(policy):
 
 
 @dataclass(frozen=True)
-class ExitRecord:
-    """First exit of one path from the domain."""
-
-    step: int
-    time: float
-    state: np.ndarray
-
-
-@dataclass(frozen=True)
 class PathBatch:
     """A batch of simulated paths on a shared uniform time grid.
 
@@ -255,12 +247,14 @@ class PathBatch:
     (exit or divergence) stores ``end_state`` at steps ≥ s and repeats its
     last applied control ``controls[p, s-1]`` after it.
     ``path_offset`` is the global index of the first path (chunked
-    simulations of the same seed tile the same global stream).
+    simulations of the same seed tile the same global stream).  The exit
+    data (``exit_step``, ``exit_time``, ``exit_state``) are those the step
+    loop's exit rule found.
 
     The path tensors ``states``, ``controls`` and ``brownian_increments``
-    exist only in batches from :func:`simulate` (or :func:`simulate_chunks`
-    without an integrand); a streamed batch has them as ``None`` and carries
-    its chunk's ``integrand`` instead.
+    exist only in batches from :func:`simulate`; a batch streamed by
+    :func:`simulate_chunks` has them as ``None`` and carries its chunk's
+    ``integrand`` instead.
     """
 
     times: np.ndarray                         # (n_steps+1,)
@@ -293,12 +287,6 @@ class PathBatch:
     @property
     def n_diverged(self) -> int:
         return int(np.sum(self.diverged_step >= 0))
-
-    def exit_record(self, p: int) -> ExitRecord | None:
-        if self.exit_step[p] < 0:
-            return None
-        return ExitRecord(step=int(self.exit_step[p]), time=float(self.exit_time[p]),
-                          state=self.exit_state[p].copy())
 
     def recompute_residual(self, problem: ControlProblem) -> float:
         """Max relative defect of the stored Euler recurrence.
@@ -340,12 +328,13 @@ def simulate(
 ) -> PathBatch:
     """Simulate ``config.n_paths`` Euler-Maruyama paths from (t0, x0).
 
-    ``until`` overrides the end time (required for discounted problems, where
-    it is the truncation time).  ``path_range=(lo, hi)`` simulates only the
-    global path indices [lo, hi) — used for chunking; results for a given
-    global index are identical no matter how the range is split.  The batch
-    stores the path tensors (memory O(paths × steps)), recorded on live rows
-    only: the policy never sees a stopped path (see :class:`PathBatch`).
+    The run ends at T for a finite horizon, which rejects ``until``, and at
+    the truncation time ``until`` for a discounted one, which requires it.
+    ``path_range=(lo, hi)`` simulates only the global path indices [lo, hi);
+    results for a given global index are identical no matter how the range
+    is split.  The batch stores the path tensors (memory O(paths × steps)),
+    recorded on live rows only: the policy never sees a stopped path (see
+    :class:`PathBatch`).
     """
     n, k = problem.dimension, problem.control_dimension
     tensors = []
@@ -379,19 +368,20 @@ def simulate_chunks(
     config: SimConfig,
     until: float | None = None,
     chunk_size: int = 4096,
-    integrand=None,
+    *,
+    integrand,
 ) -> Iterator[PathBatch]:
-    """Yield PathBatches covering path indices [0, n_paths) in chunks.
+    """Stream path indices [0, n_paths) through ``integrand``, one chunk at a time.
 
-    Bit-identical to one monolithic :func:`simulate` call (per-path keyed
-    streams).  Without ``integrand`` every batch stores its path tensors.
-    With it, nothing is stored and memory is O(chunk): at the start of each
-    chunk ``integrand(n_paths, times, dt)`` is called, and the step callable
-    it returns is invoked on every Euler step as
-    ``step(i, t, rows, x, z, f1)`` — the chunk-local indices of the paths
-    live at ``t = times[i]``, their states, their (admissible) controls and
-    ``problem.f1(t, x, z)`` — before those rows advance.  The step callable
-    is returned as the batch's ``integrand``.
+    Nothing is stored and memory is O(chunk).  At the start of each chunk
+    ``integrand(n_paths, times, dt)`` is called, and the step callable it
+    returns is invoked on every Euler step as ``step(i, t, rows, x, z, f1)``
+    — the chunk-local indices of the paths live at ``t = times[i]``, their
+    states, their (admissible) controls and ``problem.f1(t, x, z)`` — before
+    those rows advance.  Each yielded :class:`PathBatch` carries the step
+    callable as its ``integrand`` and the chunk's exit and end data, which
+    are bit-identical to the matching rows of one :func:`simulate` call
+    (per-path keyed streams).  ``until`` is as in :func:`simulate`.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
@@ -399,9 +389,21 @@ def simulate_chunks(
     lo = 0
     while lo < config.n_paths:
         hi = min(lo + chunk_size, config.n_paths)
-        yield (simulate(problem, policy, t0, x0, config, until, (lo, hi)) if integrand is None
-               else _euler(problem, policy, t0, x0, config, until, (lo, hi), integrand))
+        yield _euler(problem, policy, t0, x0, config, until, (lo, hi), integrand)
         lo = hi
+
+
+def _end_time(problem: ControlProblem, until: float | None) -> float:
+    """The end time of a run: T for a finite horizon, which rejects ``until``;
+    the truncation time ``until`` for a discounted one, which requires it."""
+    if isinstance(problem.horizon, FiniteHorizon):
+        if until is not None:
+            raise ValueError("finite-horizon problems run to their terminal time T; "
+                             "`until` is the truncation time of discounted problems only")
+        return problem.horizon.terminal_time
+    if until is None:
+        raise ValueError("discounted problems need an explicit truncation time `until`")
+    return float(until)
 
 
 # Noise is drawn in blocks of steps for the paths live at the block's start,
@@ -421,13 +423,9 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
 
     Only live rows (not exited, not diverged) draw noise, call the policy
     and the coefficients and advance; the loop stops once none is live.
+    Each step applies the exit rule, :func:`_step_exits`.
     """
-    if isinstance(problem.horizon, FiniteHorizon):
-        end = float(until) if until is not None else problem.horizon.terminal_time
-    else:
-        if until is None:
-            raise ValueError("discounted problems need an explicit truncation time `until`")
-        end = float(until)
+    end = _end_time(problem, until)
     if not end > t0:
         raise ValueError(f"end time {end} must exceed start time {t0}")
     span = end - t0
@@ -499,8 +497,7 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
         f1 = problem.f1(t, xl, z)
         drift = f0 + f1
         diff = problem.diff(t, xl)
-        if step is not None:
-            step(i, t, live, xl, z, f1)
+        step(i, t, live, xl, z, f1)
         # Overflow here is not an error: non-finite states are flagged below.
         with np.errstate(over="ignore", invalid="ignore"):
             x_next = xl + drift * dt + np.einsum("pnm,pm->pn", diff, dW[rows, j])
@@ -560,7 +557,8 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
 def _step_exits(domain: Domain, x_left: np.ndarray, x_right: np.ndarray,
                 sd_left: np.ndarray, sd_right: np.ndarray, dt: float,
                 sigma2: np.ndarray | None = None, u: np.ndarray | None = None):
-    """The exit rule, applied to Euler steps ``x_left -> x_right`` (one per row).
+    """The exit rule, applied by the step loop to its Euler steps
+    ``x_left -> x_right`` (one per row).
 
     A step exits when ``x_right`` lies in the closure of the complement
     (grid crossing; the exit state is ``x_right`` projected onto the
@@ -585,57 +583,6 @@ def _step_exits(domain: Domain, x_left: np.ndarray, x_right: np.ndarray,
     if fired is not None and fired.any():
         states[fired] = domain.project_to_boundary(x_left[fired])
     return hit, states
-
-
-def detect_exit(
-    states_path: np.ndarray,
-    domain: Domain,
-    exit_rule: str,
-    dt: float,
-    rng_substream: np.random.Generator | None = None,
-    t0: float = 0.0,
-    diffusion=None,
-) -> ExitRecord | None:
-    """First-exit detection along one stored path.
-
-    ``grid_crossing`` reports the first grid index outside the closure;
-    ``brownian_bridge`` additionally samples within-step crossings with
-    probability exp(-2 d_i d_{i+1} / (σ² dt)) (distances to the nearer
-    boundary; σ² = B Bᵀ at the step's left endpoint, supplied via
-    ``diffusion`` as a callable (t, x) -> σ² or a per-step array).  The bridge
-    draws its uniforms as ``rng_substream.random(n_steps)``, one per step, and
-    the rule is the simulator's own.  A ``np.random.Generator`` gives decisions
-    statistically equivalent to the simulator's, not the same ones: the
-    simulator draws path p's uniforms from its own Philox stream,
-    ``_bridge_uniforms(seed, 1, n_steps, path_offset=p)[0]``, so a pathwise
-    replay needs an object whose ``random(n_steps)`` returns those.
-    """
-    x = np.asarray(states_path, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    n_steps = x.shape[0] - 1
-    sd = domain.signed_distance(x)
-    if exit_rule == "grid_crossing":
-        sigma2 = u = None
-    elif exit_rule == "brownian_bridge":
-        if x.shape[1] != 1:
-            raise ValueError("the brownian_bridge exit rule is only defined for 1-d domains")
-        if rng_substream is None or diffusion is None:
-            raise ValueError("brownian_bridge detection needs rng_substream and diffusion")
-        u = rng_substream.random(n_steps)
-        if callable(diffusion):  # evaluated only where the step starts inside
-            sigma2 = np.array([float(diffusion(t0 + i * dt, x[i])) if sd[i] < 0.0 else 0.0
-                               for i in range(n_steps)])
-        else:
-            sigma2 = np.asarray(diffusion, dtype=float)
-    else:
-        raise ValueError(f"unknown exit rule {exit_rule!r}")
-
-    hit, where = _step_exits(domain, x[:-1], x[1:], sd[:-1], sd[1:], dt, sigma2, u)
-    if not np.any(hit):
-        return None
-    i = int(np.argmax(hit))
-    return ExitRecord(step=i + 1, time=t0 + (i + 1) * dt, state=where[i])
 
 
 # ---------------------------------------------------------------------------

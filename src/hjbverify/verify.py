@@ -32,7 +32,7 @@ import numpy as np
 from ._util import as_point_batch, batch_call, unbatch
 from .hamiltonian import _clamped_gap, _minimize_batch
 from .problem import ControlProblem, DiscountedInfinite, canonicalize
-from .sde import PathBatch, SimConfig, simulate_chunks
+from .sde import PathBatch, SimConfig, _end_time, simulate_chunks
 
 __all__ = [
     "CostEstimate",
@@ -362,8 +362,9 @@ def estimate_cost(
 
     Per path: left-endpoint quadrature of the running cost on the simulation
     grid up to T ∧ τ, plus the terminal cost at T for surviving paths or the
-    boundary cost at (τ, y(τ)) for paths that exit the domain first.
-    Discounted problems integrate e^{−rate(s−t0)}·l1 with exact per-step
+    boundary cost at (τ, y(τ)) for paths that exit the domain first;
+    ``until`` is rejected.  Discounted problems need ``until``, the
+    truncation time, and integrate e^{−rate(s−t0)}·l1 with exact per-step
     discount weights over [t0, until] — truncated, with no tail correction
     (:func:`certify` checks the tail-corrected identity over [t0, until]).
 
@@ -432,12 +433,7 @@ def certify(
     function.
     """
     flip, rate = _orientation(problem)
-    if rate is None and until is not None:
-        raise ValueError("finite-horizon problems run to their terminal time T; "
-                         "`until` is the truncation time of discounted problems only")
-    if rate is not None and until is None:
-        raise ValueError("discounted problems need an explicit truncation time `until`")
-    end = problem.horizon.terminal_time if rate is None else float(until)
+    end = _end_time(problem, until)
     grid = getattr(source, "grid", None)
     if grid is not None and not (grid.t0 <= t0 + 1e-12 * (1.0 + abs(t0))
                                  and grid.t_final >= end - 1e-12 * (1.0 + abs(end))):

@@ -2,7 +2,6 @@
 
 import logging
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,15 +18,19 @@ from hjbverify import (
     OpenLoopPolicy,
     SimConfig,
     advertising_feedback,
-    detect_exit,
     dump_paths_csv,
     gaussian_increments,
     simulate,
     simulate_chunks,
 )
-from hjbverify.sde import _bridge_uniforms, _open_unit, _stream_uniforms
+from hjbverify.sde import _bridge_uniforms, _open_unit, _step_exits, _stream_uniforms
 
 ZERO = ConstantPolicy(0.0)
+
+
+def _no_op(n_paths, times, dt):
+    """An integrand that records nothing."""
+    return lambda i, t, rows, x, z, f1: None
 
 
 def _drift_problem(f0, diffusion=None, horizon=1.0, terminal=None, **overrides):
@@ -91,6 +94,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="horizon/10"):
             simulate(prob, ZERO, 0.0, 1.0, SimConfig(dt=0.2, n_paths=4, seed=0))
 
+    def test_finite_horizon_rejects_until(self):
+        # A finite run ends at T: an earlier `until` would charge the
+        # terminal cost at the wrong time.
+        prob = _drift_problem(lambda t, x: np.zeros_like(x))
+        with pytest.raises(ValueError, match="`until` is the truncation time of discounted"):
+            simulate(prob, ZERO, 0.0, 0.0, SimConfig(dt=0.01, n_paths=4, seed=0), until=0.25)
+
 
 class TestDeterministicDynamics:
     def test_exponential_decay(self):
@@ -125,11 +135,16 @@ class TestReproducibility:
         assert hi.path_offset == 10
 
     def test_chunked_equals_monolithic(self, adv_problem):
+        # Without a domain every noise block is as long as the cap allows.
         cfg = SimConfig(dt=0.01, n_paths=25, seed=5)
         full = simulate(adv_problem, ZERO, 0.0, 2.0, cfg)
-        chunks = list(simulate_chunks(adv_problem, ZERO, 0.0, 2.0, cfg, chunk_size=8))
-        stitched = np.concatenate([c.states for c in chunks], axis=0)
-        assert np.array_equal(full.states, stitched)
+        chunks = list(simulate_chunks(adv_problem, ZERO, 0.0, 2.0, cfg, chunk_size=8,
+                                      integrand=_no_op))
+        assert [c.path_offset for c in chunks] == [0, 8, 16, 24]
+        for name in ("exit_step", "diverged_step", "end_state"):
+            assert np.array_equal(np.concatenate([getattr(c, name) for c in chunks]),
+                                  getattr(full, name)), name
+        assert np.array_equal(full.end_state, full.states[:, -1])
 
     def test_gaussian_increments_split_invariant(self):
         whole = gaussian_increments(seed=3, n_paths=6, n_steps=50, m=1, dt=0.01)
@@ -171,8 +186,13 @@ class TestReproducibility:
     def test_streamed_batches_store_no_path_tensors(self, exit_time_problem):
         cfg = SimConfig(dt=0.01, n_paths=30, seed=4, exit_rule="brownian_bridge")
         seen = []
+
+        def integrand(n_paths, times, dt):
+            seen.append(n_paths)
+            return _no_op(n_paths, times, dt)
+
         chunks = list(simulate_chunks(exit_time_problem, ZERO, 0.0, 0.5, cfg, chunk_size=16,
-                                      integrand=lambda n, times, dt: seen.append(n)))
+                                      integrand=integrand))
         full = simulate(exit_time_problem, ZERO, 0.0, 0.5, cfg)
         assert seen == [16, 14]
         assert all(c.states is None and c.controls is None and c.brownian_increments is None
@@ -309,9 +329,8 @@ class TestExitDetection:
             if e >= 0:
                 pre = batch.states[p, :e, 0]
                 assert np.all(O.signed_distance(pre.reshape(-1, 1)) < 0)
-                rec = batch.exit_record(p)
-                assert rec.state[0] in (0.0, 1.0)
-                assert rec.time == pytest.approx(batch.times[e])
+                assert batch.exit_state[p, 0] in (0.0, 1.0)
+                assert batch.exit_time[p] == pytest.approx(batch.times[e])
 
     def test_exit_freezes_path(self):
         # dy = dW on (0, 1), as in exit_time_problem, with a free control.
@@ -345,7 +364,7 @@ class TestExitDetection:
         cfg = SimConfig(dt=0.01, n_paths=50, seed=1, exit_rule=rule)
         batch = simulate(exit_time_problem, policy, 0.0, 0.5, cfg)
         streamed = list(simulate_chunks(exit_time_problem, policy, 0.0, 0.5, cfg, chunk_size=16,
-                                        integrand=lambda n, times, dt: None))
+                                        integrand=_no_op))
         assert not outside
         assert np.sum(batch.exited) > 40
         for name in ("exit_step", "exit_state", "end_state"):
@@ -371,63 +390,54 @@ class TestExitDetection:
         se = taus.std(ddof=1) / math.sqrt(taus.size)
         assert abs(taus.mean() - 0.25) <= max(3 * se, 2 * math.sqrt(dt))
 
-    def test_bridge_consumes_one_uniform_per_step(self):
-        # A path that stays strictly inside: bridge decisions use exactly
-        # n_steps uniforms, so a fixed generator state is fully determined.
-        O = Domain.interval(0.0, 1.0)
-        path = np.full(11, 0.5)
-        rng1 = np.random.default_rng(0)
-        assert detect_exit(path, O, "brownian_bridge", 0.01, rng_substream=rng1,
-                           diffusion=lambda t, x: 1.0) is None
-        rng2 = np.random.default_rng(0)
-        rng2.random(10)
-        assert rng1.random() == rng2.random()
-
     def test_bridge_detects_near_miss(self):
         # Hug the boundary: crossing probability exp(-2 d d'/sigma^2 dt) ~ 1.
         O = Domain.interval(0.0, 1.0)
-        path = np.array([0.4, 1e-6, 1e-6, 0.5])
-        rec = detect_exit(path, O, "brownian_bridge", 0.01,
-                          rng_substream=np.random.default_rng(1),
-                          diffusion=lambda t, x: 1.0)
-        assert rec is not None and rec.state[0] == 0.0
-        assert detect_exit(path, O, "grid_crossing", 0.01) is None
+        x = np.array([0.4, 1e-6, 1e-6, 0.5]).reshape(-1, 1)
+        sd = O.signed_distance(x)
+        u = np.random.default_rng(1).random(3)
+        hit, where = _step_exits(O, x[:-1], x[1:], sd[:-1], sd[1:], 0.01, np.ones(3), u)
+        assert hit.any() and where[np.argmax(hit), 0] == 0.0
+        hit, _ = _step_exits(O, x[:-1], x[1:], sd[:-1], sd[1:], 0.01)
+        assert not hit.any()
 
     def test_bridge_exit_state_is_projected_from_the_left_endpoint(self):
         # The bridge fires on the step 0.02 -> 0.6 (u = 0.1 < exp(-1.6)), so
         # the path left near 0, where it was at the start of the step.
         O = Domain.interval(0.0, 1.0)
-        rec = detect_exit(np.array([0.5, 0.02, 0.6]), O, "brownian_bridge", 0.01,
-                          rng_substream=SimpleNamespace(random=lambda n: np.array([0.9, 0.1])),
-                          diffusion=lambda t, x: 1.0)
-        assert (rec.step, rec.time, rec.state[0]) == (2, 0.02, 0.0)
+        x = np.array([0.5, 0.02, 0.6]).reshape(-1, 1)
+        sd = O.signed_distance(x)
+        hit, where = _step_exits(O, x[:-1], x[1:], sd[:-1], sd[1:], 0.01, np.ones(2),
+                                 np.array([0.9, 0.1]))
+        assert hit.tolist() == [False, True]  # step 2
+        assert where[1, 0] == 0.0
 
     @pytest.mark.parametrize("rule", ["grid_crossing", "brownian_bridge"])
-    def test_detect_exit_replays_the_simulator(self, exit_time_problem, rule):
-        # Fed the simulator's own bridge uniforms, detection on the stored
-        # paths finds every exit at the same step, time and state.
+    def test_step_exits_replays_the_simulator(self, exit_time_problem, rule):
+        # Fed the simulator's own bridge uniforms, the exit rule on the
+        # stored paths finds every exit at the same step, time and state.
         batch = simulate(exit_time_problem, ZERO, 0.0, 0.5,
                          SimConfig(dt=0.02, n_paths=64, seed=9, exit_rule=rule))
         domain = exit_time_problem.domain
+        bridge = rule == "brownian_bridge"
         bridge_fired = 0
         for p in range(batch.n_paths):
+            x = batch.states[p]
+            sd = domain.signed_distance(x)
             u = _bridge_uniforms(batch.seed, 1, batch.n_steps, path_offset=p)[0]
-            rec = detect_exit(batch.states[p], domain, rule, batch.dt,
-                              rng_substream=SimpleNamespace(random=lambda n, u=u: u[:n]),
-                              t0=batch.t0, diffusion=np.ones(batch.n_steps))
+            hit, where = _step_exits(domain, x[:-1], x[1:], sd[:-1], sd[1:], batch.dt,
+                                     np.ones(batch.n_steps) if bridge else None,
+                                     u if bridge else None)
             if batch.exit_step[p] < 0:
-                assert rec is None
+                assert not hit.any()
                 continue
-            assert rec.step == batch.exit_step[p] and rec.time == batch.exit_time[p]
-            assert np.array_equal(rec.state, batch.exit_state[p])
-            bridge_fired += bool(domain.contains(batch.states[p, rec.step]))
+            step = int(np.argmax(hit)) + 1
+            assert step == batch.exit_step[p]
+            assert batch.times[step] == batch.exit_time[p]
+            assert np.array_equal(where[step - 1], batch.exit_state[p])
+            bridge_fired += bool(domain.contains(x[step]))
         assert np.sum(batch.exited) > batch.n_paths // 2
-        assert (bridge_fired > 0) == (rule == "brownian_bridge")
-
-    def test_bridge_needs_rng_and_diffusion(self):
-        O = Domain.interval(0.0, 1.0)
-        with pytest.raises(ValueError, match="rng_substream and diffusion"):
-            detect_exit(np.full(5, 0.5), O, "brownian_bridge", 0.01)
+        assert (bridge_fired > 0) == bridge
 
 
 class TestCsvDump:

@@ -264,6 +264,12 @@ class TestDiscountedVerify:
             certify(adv_problem, adv_solution, ZERO, 0.0, 2.0,
                     SimConfig(dt=0.01, n_paths=4, seed=0), until=10.0)
 
+    def test_estimate_cost_rejects_until_on_a_finite_horizon(self, adv_problem):
+        # The run ends at T; a shorter window would charge the terminal cost early.
+        with pytest.raises(ValueError, match="`until` is the truncation time of discounted"):
+            estimate_cost(adv_problem, ZERO, 0.0, 2.0,
+                          SimConfig(dt=0.01, n_paths=4, seed=0), until=0.25)
+
     def test_estimate_cost_needs_until(self):
         prob = make_discounted_demo(0.5, 2.0)
         with pytest.raises(ValueError, match="truncation"):
