@@ -3,7 +3,8 @@
 Public toolkit functions accept states and controls either as single points
 (scalar or shape ``(n,)``) or as batches of shape ``(P, n)``.  Internally all
 numerics run on batches; these helpers normalize on the way in and remember
-whether to squeeze on the way out.
+whether to squeeze on the way out.  Candidate value functions are the
+exception: they are probed at batches only (:func:`probe_batch`).
 """
 
 from __future__ import annotations
@@ -53,14 +54,17 @@ def as_size(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def unbatch(values: np.ndarray, single: bool):
-    """Undo :func:`as_point_batch` on an output batch."""
-    if not single:
-        return values
-    out = values[0]
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+def probe_batch(x, dim: int | None = None) -> np.ndarray:
+    """``x`` as the (P, n) float batch of states a candidate is probed at.
+
+    A scalar, a single point, or a batch whose width is not ``dim`` (when
+    given) raises ValueError naming the expected shape; nothing is reshaped.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        raise ValueError(f"a candidate is probed at a (P, {dim or 'n'}) batch of states, "
+                         f"got shape {arr.shape}")
+    return arr
 
 
 def batch_call(fn, *args, expect_shape: tuple[int, ...], label: str):

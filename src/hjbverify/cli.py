@@ -334,7 +334,7 @@ def _hypotheses_dict(problem, cfg: dict) -> dict:
 
 def _diagnostics_dict(problem, source, cfg: dict) -> dict:
     out: dict = {"candidate_source": source.provenance}
-    solved = isinstance(source, hjb.SpaceTimeField)
+    solved = source.grid is not None
     if solved:
         rep = hjb.residual(source, problem)
         out["sup_interior_residual"] = float(rep.sup_interior_residual)
@@ -345,7 +345,7 @@ def _diagnostics_dict(problem, source, cfg: dict) -> dict:
         pad = 0.05 * (hi - lo)
         diag = hjb.gradient_diagnostics(
             source, problem,
-            probe_points=None if solved else np.linspace(lo + pad, hi - pad, 40),
+            probe_points=None if solved else np.linspace(lo + pad, hi - pad, 40)[:, None],
         )
         out["weighted_gradient_sup"] = float(diag.weighted_gradient_sup)
         out["blowup_exponents"] = {

@@ -105,11 +105,12 @@ def minimize(problem: ControlProblem, t: float, x, p) -> HamiltonianEval:
     prob = canonicalize(problem)
     xb, _ = as_point_batch(x, prob.dimension)
     pb, _ = as_point_batch(p, prob.dimension)
-    values, argmins, method = _minimize_batch(prob, t, xb, pb)
+    values, argmins = _minimize_batch(prob, t, xb, pb)
+    method = "scan" if prob.closed_form_hamiltonian is None else "closed_form"
     value = float(values[0])
     zmin = argmins[0]
     zmin_out = float(zmin[0]) if prob.control_dimension == 1 else zmin.copy()
-    tol_gap = 1e-9 * (1.0 + abs(value))
+    tol_gap = float(_gap_resolution(value))
 
     def gap_at(z, _prob=prob, _t=t, _x=xb, _p=pb, _v=value):
         zb, _ = as_point_batch(z, _prob.control_dimension)
@@ -127,8 +128,7 @@ def duality_gap(problem: ControlProblem, t: float, x, p, z) -> float:
     downstream averages with roundoff noise.
     """
     ev = minimize(problem, t, x, p)
-    raw = ev.gap_at(z)
-    return raw if raw > ev.tol_gap else 0.0
+    return float(_clamped_gap(ev.gap_at(z), ev.value))
 
 
 def feedback_map(problem: ControlProblem, gradient_field) -> Callable:
@@ -149,7 +149,7 @@ def feedback_map(problem: ControlProblem, gradient_field) -> Callable:
     def feedback(t, x):
         xb, single = as_point_batch(x, n)
         pb = flip * np.asarray(grad(t, xb), dtype=float).reshape(xb.shape[0], n)
-        _, argmins, _ = _minimize_batch(prob, t, xb, pb)
+        _, argmins = _minimize_batch(prob, t, xb, pb)
         if single:
             return float(argmins[0, 0]) if k == 1 else argmins[0]
         return argmins
@@ -170,7 +170,7 @@ def _h_cv(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs: np
 
 
 def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
-    """Minimize H_cv at each row of (xs, ps); returns (values, argmins, method).
+    """Minimize H_cv at each row of (xs, ps); returns (values, argmins).
 
     ``values`` has shape (P,), ``argmins`` (P, k).  The problem must already
     be canonical.
@@ -189,14 +189,14 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
             vals, args = cf(t, xs, ps)
             vals = np.asarray(vals, dtype=float).reshape(P)
             args = np.asarray(args, dtype=float).reshape(P, k)
-        return vals, args, "closed_form"
+        return vals, args
 
     U = prob.control_set
     if U.kind == "finite":
         pts = U.points  # lexicographically sorted at construction
         if pts.shape[0] == 1:  # nothing to choose from: H0 is the one H_cv
             vals = _h_cv(prob, t, xs, ps, np.broadcast_to(pts[0], (P, k)))
-            return vals, np.repeat(pts, P, axis=0), "scan"
+            return vals, np.repeat(pts, P, axis=0)
         all_vals = np.empty((pts.shape[0], P))
         for j, zj in enumerate(pts):
             zb = np.broadcast_to(zj, (P, k))
@@ -204,9 +204,9 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
         vmin = all_vals.min(axis=0)
         tol = 1e-12 * (1.0 + np.abs(vmin))
         first = np.argmax(all_vals <= vmin + tol, axis=0)  # first lexicographic tie
-        return vmin, pts[first], "scan"
+        return vmin, pts[first]
 
-    return (*_scan_box(prob, t, xs, ps), "scan")
+    return _scan_box(prob, t, xs, ps)
 
 
 def _fresh(a, P: int) -> bool:
@@ -389,12 +389,17 @@ def _golden(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: n
     return candidates[pick], values[pick]
 
 
-def _clamped_gap(raw: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Clamp raw gaps below the roundoff resolution 1e-9·(1+|H0|) to exact 0."""
+def _gap_resolution(h0):
+    """The roundoff resolution (|H0| + 1)·1e-9 below which a gap is zero."""
     tol = np.abs(h0)
     tol += 1.0
     tol *= 1e-9
-    return np.where(raw > tol, raw, 0.0)
+    return tol
+
+
+def _clamped_gap(raw: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """Clamp raw gaps at or below :func:`_gap_resolution` to exact 0."""
+    return np.where(raw > _gap_resolution(h0), raw, 0.0)
 
 
 def _describe_set(U) -> str:

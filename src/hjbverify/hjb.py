@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from ._util import as_size
+from ._util import as_size, probe_batch
 from .hamiltonian import _minimize_batch
 from .problem import ControlProblem, FiniteHorizon, canonicalize
 
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+_SMOOTH_FLOOR = 1e-12  # relative |v_xx| below which a second difference counts as zero
 
 _LADDER_NOTE = (
     "Ladder distances measure refinement self-consistency (a surrogate for "
@@ -113,7 +115,8 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Values and spatial gradient of v on a Grid1D.
+    """Values and spatial gradient of v on a Grid1D: a candidate (see
+    :mod:`hjbverify.verify`) probed at (P, 1) batches of states.
 
     ``provenance`` is one of "solved", "closed_form", "loaded".  Probing
     between nodes uses linear interpolation in x and the value at the nearest
@@ -143,19 +146,14 @@ class SpaceTimeField:
         i = int(np.searchsorted(self.grid.ts, t + 1e-12, side="right")) - 1
         return min(max(i, 0), self.grid.nt)
 
-    def value_at(self, t: float, x) -> np.ndarray | float:
+    def value_at(self, t: float, x) -> np.ndarray:
         return self._interp(self.values, t, x)
 
-    def gradient_at(self, t: float, x) -> np.ndarray | float:
-        return self._interp(self.gradient, t, x)
+    def gradient_at(self, t: float, x) -> np.ndarray:
+        return self._interp(self.gradient, t, x)[:, None]
 
-    def _interp(self, table: np.ndarray, t: float, x):
-        xq = np.asarray(x, dtype=float)
-        single = xq.ndim == 0
-        cols = xq.reshape(-1) if xq.ndim <= 1 else xq[:, 0]
-        row = table[self._time_index(t)]
-        out = np.interp(cols, self.grid.xs, row)
-        return float(out[0]) if single else out
+    def _interp(self, table: np.ndarray, t: float, x) -> np.ndarray:
+        return np.interp(probe_batch(x, 1)[:, 0], self.grid.xs, table[self._time_index(t)])
 
     def to_csv(self, path: str) -> None:
         """Write rows ``t,x,v,dvdx`` (time-major) with exact float round-trip."""
@@ -231,7 +229,6 @@ class GradientDiagnostics:
 
     weighted_gradient_sup: float
     blowup_exponents: dict
-    smooth_floor: float
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +274,7 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
             f"grid [{grid.x_min}, {grid.x_max}] must coincide with the domain [{a}, {b}]"
         )
     ends = grid.xs[[0, -1]].reshape(2, 1)
-
-    def psi(t: float) -> tuple[float, float]:
-        ga, gb = problem.boundary(t, ends)
-        return float(ga), float(gb)
-
-    return _march(problem, grid, psi)
+    return _march(problem, grid, lambda t: tuple(float(v) for v in problem.boundary(t, ends)))
 
 
 def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, float]] | None:
@@ -290,13 +282,12 @@ def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, floa
     if boundary is None:
         return None
     if hasattr(boundary, "value_at"):
-        value = lambda t, x: float(np.atleast_1d(boundary.value_at(t, np.array([x])))[0])  # noqa: E731
-    elif callable(boundary):
-        value = lambda t, x: float(boundary(t, x))  # noqa: E731
-    else:
+        ends = grid.xs[[0, -1]].reshape(2, 1)
+        return lambda t: tuple(float(v) for v in boundary.value_at(t, ends))
+    if not callable(boundary):
         raise TypeError("boundary must be None, a callable, or provide value_at")
     a, b = float(grid.xs[0]), float(grid.xs[-1])
-    return lambda t: (value(t, a), value(t, b))
+    return lambda t: (float(boundary(t, a)), float(boundary(t, b)))
 
 
 def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
@@ -324,7 +315,7 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
         t_prev = float(ts[i + 1])
 
         grad_prev = _central_gradient(v[i + 1], dx)
-        h0, _, _ = _minimize_batch(prob, t_prev, xcol, grad_prev.reshape(-1, 1))
+        h0, _ = _minimize_batch(prob, t_prev, xcol, grad_prev.reshape(-1, 1))
         h0_table[i + 1] = h0
         rhs = v[i + 1] + dt * h0
 
@@ -495,7 +486,7 @@ def residual(
         if h0_table is not None and i > 0:
             h0 = h0_table[i]
         else:
-            h0, _, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
+            h0, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
         full = dvdt + 0.5 * sigma2 * d2 + f0 * d1 + h0
         res[i, keep] = full[keep]
 
@@ -557,55 +548,45 @@ def gradient_diagnostics(source, problem: ControlProblem, probe_points=None) -> 
     """Sample the weighted gradient sup (T-t)^{1/2} |v_x| and measure the
     second-difference blow-up exponent near each registered kink.
 
-    ``source`` is a SpaceTimeField or any object with value_at/gradient_at
-    (e.g. a :class:`~hjbverify.verify.ClosedFormValue`).  The sup is taken
-    over 32 equally spaced times in [0, T) and ``probe_points`` (default:
-    the field's interior nodes; required for other sources).  The blow-up
-    exponent for a kink x0 is the slope of log |v_xx(0, x0 + h)| against
-    log h, over 25 log-spaced h in [1e-3, 1e-1] for a closed form and over
-    the grid nodes right of x0 for a field (None when x0 lies left of the
-    grid or fewer than four nodes lie right of it); second differences below
-    the smoothness floor are treated as zero and a fully floored profile
-    reports exponent 0.0 (no blow-up).
+    ``source`` is a candidate under the contract of :mod:`hjbverify.verify`:
+    a SpaceTimeField or a :class:`~hjbverify.verify.ClosedFormValue`.  The
+    sup is taken over 32 equally spaced times in [0, T) and ``probe_points``,
+    a (P, 1) batch of states (default: the field's interior nodes; required
+    for a closed form, whose ``grid`` is None).  The blow-up exponent for a
+    kink x0 is the slope of log |v_xx(0, x0 + h)| against log h, over 25
+    log-spaced h in [1e-3, 1e-1] for a closed form and over the grid nodes
+    right of x0 for a field (None when x0 lies left of the grid or fewer than
+    four nodes lie right of it); second differences below the smoothness
+    floor are treated as zero and a fully floored profile reports exponent
+    0.0 (no blow-up).
     """
     T = problem.horizon.terminal_time
+    field = source.grid is not None
     if probe_points is None:
-        if isinstance(source, SpaceTimeField):
-            probe_points = source.grid.xs[1:-1]
-        else:
+        if not field:
             raise ValueError("probe_points are required for closed-form sources")
-    probe_points = np.asarray(probe_points, dtype=float)
+        probe_points = source.grid.xs[1:-1].reshape(-1, 1)
 
     wsup = 0.0
     for t in np.linspace(0.0, T, 33)[:-1]:
-        g = np.asarray(source.gradient_at(float(t), probe_points), dtype=float)
+        g = source.gradient_at(float(t), probe_points)
         wsup = max(wsup, float(np.sqrt(max(T - t, 0.0)) * np.max(np.abs(g))))
 
-    floor = 1e-12
-    exponents: dict = {}
-    for kink in problem.kink_points:
-        if isinstance(source, SpaceTimeField):
-            exponents[kink] = _field_blowup(source, kink, floor)
-        else:
-            exponents[kink] = _callable_blowup(source, kink, floor)
-    return GradientDiagnostics(weighted_gradient_sup=wsup, blowup_exponents=exponents,
-                               smooth_floor=floor)
+    blowup = _field_blowup if field else _callable_blowup
+    exponents = {kink: blowup(source, kink) for kink in problem.kink_points}
+    return GradientDiagnostics(weighted_gradient_sup=wsup, blowup_exponents=exponents)
 
 
-def _callable_blowup(source, kink: float, floor: float):
-    offsets = np.logspace(-3.0, -1.0, 25)
-    d2 = np.empty_like(offsets)
-    for idx, h in enumerate(offsets):
-        x = kink + h
-        delta = h / 8.0
-        vp = float(np.atleast_1d(source.value_at(0.0, np.array([x + delta])))[0])
-        v0 = float(np.atleast_1d(source.value_at(0.0, np.array([x])))[0])
-        vm = float(np.atleast_1d(source.value_at(0.0, np.array([x - delta])))[0])
-        d2[idx] = (vp - 2.0 * v0 + vm) / delta**2
-    return _fit_blowup(offsets, d2, floor)
+def _callable_blowup(source, kink: float):
+    h = np.logspace(-3.0, -1.0, 25)
+    x = kink + h
+    delta = h / 8.0
+    probes = np.concatenate([x + delta, x, x - delta])[:, None]
+    vp, v0, vm = source.value_at(0.0, probes).reshape(3, -1)
+    return _fit_blowup(h, (vp - 2.0 * v0 + vm) / delta**2)
 
 
-def _field_blowup(field: SpaceTimeField, kink: float, floor: float):
+def _field_blowup(field: SpaceTimeField, kink: float):
     grid = field.grid
     xs = grid.xs
     row = field.values[field._time_index(0.0)]
@@ -614,12 +595,12 @@ def _field_blowup(field: SpaceTimeField, kink: float, floor: float):
     mask = h > 0.5 * grid.dx
     if kink < grid.x_min or np.count_nonzero(mask) < 4:  # the grid does not probe the kink
         return None
-    return _fit_blowup(h[mask], d2[mask], floor)
+    return _fit_blowup(h[mask], d2[mask])
 
 
-def _fit_blowup(h: np.ndarray, d2: np.ndarray, floor: float):
+def _fit_blowup(h: np.ndarray, d2: np.ndarray):
     mag = np.abs(d2)
-    keep = mag > floor * (1.0 + mag.max(initial=0.0))
+    keep = mag > _SMOOTH_FLOOR * (1.0 + mag.max(initial=0.0))
     if not np.any(keep):
         return 0.0
     if np.count_nonzero(keep) < 2:

@@ -18,6 +18,15 @@ quantifies the loss.  :func:`certify` runs the check on either horizon: for
 discounted infinite-horizon problems over a truncated window [t0, T1] (its
 ``until``) with the tail E[e^{−rate(T1−t0)} v(y(T1))] folded in explicitly.
 :func:`estimate_cost` runs the same simulation without a candidate.
+
+The identity uses a candidate v only through v and ∂ₓv.  The candidate
+contract: ``value_at(t, x)`` and ``gradient_at(t, x)`` take a (P, n) batch of
+states and return shapes (P,) and (P, n), in the problem's declared sense (a
+scalar, a single point or a batch of the wrong width raises ValueError);
+``grid`` is a field's :class:`~hjbverify.hjb.Grid1D`, or None for a closed
+form (Δx = 0, no grid-escape check); ``provenance`` is a string,
+"closed_form" for a closed form.  The two kinds of candidate are
+:class:`~hjbverify.hjb.SpaceTimeField` (n = 1) and :class:`ClosedFormValue`.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_point_batch, batch_call, unbatch
+from ._util import as_point_batch, batch_call, probe_batch
 from .hamiltonian import _clamped_gap, _minimize_batch
 from .problem import ControlProblem, DiscountedInfinite, canonicalize
 from .sde import PathBatch, SimConfig, _end_time, simulate_chunks
@@ -130,28 +139,28 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    """Field-protocol adapter for closed-form candidate value functions.
+    """A closed-form candidate under the candidate contract of this module.
 
-    Wraps callables ``value_fn(t, x) -> scalar`` and ``gradient_fn(t, x) ->
-    covector`` (vectorized or not) so they can be passed wherever a solved
-    field is expected.  Values must be in the problem's declared sense.
+    ``value_fn(t, x)`` and ``gradient_fn(t, x)`` get the (P, n) batch given
+    to ``value_at``/``gradient_at`` and return (P,) and (P, n) in the
+    problem's declared sense (a (P,) gradient is read as (P, 1)); one that is
+    not vectorized, or returns another shape, is evaluated row by row.  A
+    scalar or a single point raises ValueError.  ``grid`` is None.
     """
 
     value_fn: Callable
     gradient_fn: Callable
-    dimension: int = 1
 
+    grid = None
     provenance = "closed_form"
 
     def value_at(self, t, x):
-        xb, single = as_point_batch(x, self.dimension)
-        out = batch_call(self.value_fn, t, xb, expect_shape=(xb.shape[0],), label="value_fn")
-        return unbatch(out, single)
+        x = probe_batch(x)
+        return batch_call(self.value_fn, t, x, expect_shape=(x.shape[0],), label="value_fn")
 
     def gradient_at(self, t, x):
-        xb, single = as_point_batch(x, self.dimension)
-        out = batch_call(self.gradient_fn, t, xb, expect_shape=xb.shape, label="gradient_fn")
-        return unbatch(out, single)
+        x = probe_batch(x)
+        return batch_call(self.gradient_fn, t, x, expect_shape=x.shape, label="gradient_fn")
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +224,11 @@ class _Integrand:
             return
         if self.bounds is not None:
             self.escaped[rows] |= (x[:, 0] < self.bounds[0]) | (x[:, 0] > self.bounds[1])
-        p = np.asarray(self.source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        p = self.source.gradient_at(t, x)
         if self.flip != 1.0:
             p = self.flip * p
         hcv = np.einsum("pn,pn->p", f1, p) + ell
-        h0, _, _ = _minimize_batch(self.prob, t, x, p)
+        h0, _ = _minimize_batch(self.prob, t, x, p)
         hcv -= h0
         g = _clamped_gap(hcv, h0)
         self.gap[rows] += self.w[i] * g
@@ -258,7 +267,7 @@ def _chunk_terms(
             cost[~exited] += prob_min.terminal(end_state[~exited])
     elif source is not None:
         t_end = float(times[-1])
-        v_end = flip * np.asarray(source.value_at(t_end, end_state), dtype=float).reshape(K)
+        v_end = flip * source.value_at(t_end, end_state)
         if not np.all(np.isfinite(v_end)):
             raise ValueError(
                 "the candidate value function is non-finite at sampled end "
@@ -298,7 +307,7 @@ def _monte_carlo(
     """
     prob = canonicalize(problem)
     flip, rate = _orientation(problem)
-    grid = getattr(source, "grid", None)
+    grid = None if source is None else source.grid
     bounds = (grid.x_min, grid.x_max) if grid is not None else None
     dx = grid.dx if grid is not None else 0.0
 
@@ -398,10 +407,10 @@ def certify(
 ) -> Certificate:
     """Check J = v + E∫ gap ds on common random numbers and certify the policy.
 
-    ``source`` is the candidate value function: a solved
-    :class:`~hjbverify.hjb.SpaceTimeField` (linear interpolation in x,
-    piecewise-constant-from-the-left in t), a :class:`ClosedFormValue`, or
-    any object with ``value_at``/``gradient_at``.  Cost and gap integral are
+    ``source`` is the candidate value function under the candidate contract
+    of this module: a solved :class:`~hjbverify.hjb.SpaceTimeField` (linear
+    interpolation in x, piecewise-constant-from-the-left in t) or a
+    :class:`ClosedFormValue`.  Cost and gap integral are
     evaluated along the *same* paths, so the defect |Ĵ − v − ĝap| is a paired
     statistic; the certificate's ``evidence`` reports it.
 
@@ -434,13 +443,13 @@ def certify(
     """
     flip, rate = _orientation(problem)
     end = _end_time(problem, until)
-    grid = getattr(source, "grid", None)
+    grid = source.grid
     if grid is not None and not (grid.t0 <= t0 + 1e-12 * (1.0 + abs(t0))
                                  and grid.t_final >= end - 1e-12 * (1.0 + abs(end))):
         raise ValueError(f"the candidate field's time grid [{grid.t0}, {grid.t_final}] "
                          f"does not cover the run [{t0}, {end}]")
     xb, _ = as_point_batch(x0, problem.dimension)
-    v_orig = float(np.asarray(source.value_at(t0, xb), dtype=float).reshape(-1)[0])
+    v_orig = float(source.value_at(t0, xb)[0])
 
     run, dx, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, chunk_size,
                                c1, c2)
@@ -524,7 +533,7 @@ def _lower_bound_note(source, ladder) -> str:
             "treated as a strong-solution proxy and its value at (t0, x0) "
             "lower-bounds the cost of every admissible policy."
         )
-    if passed is None and getattr(source, "provenance", "") == "closed_form":
+    if passed is None and source.provenance == "closed_form":
         return (
             "v <= V applies: the candidate is a closed-form solution, so its "
             "value at (t0, x0) lower-bounds the cost of every admissible policy."

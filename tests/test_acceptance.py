@@ -163,7 +163,7 @@ def test_a05_exit_value_agrees_with_dynkin_oracle_and_bridge_mc(
     """Expected exit time of Brownian motion from (0,1): the PDE solve and the
     bridge-corrected Monte Carlo both recover x(1-x)."""
     field = solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 201, 1500))
-    assert field.value_at(0.0, 0.5) == pytest.approx(0.25, abs=5e-3)
+    assert field.value_at(0.0, np.array([[0.5]]))[0] == pytest.approx(0.25, abs=5e-3)
 
     est = estimate_cost(exit_time_problem, ZERO, 0.0, 0.5,
                         SimConfig(dt=1e-3, n_paths=20_000, seed=11,
@@ -179,7 +179,7 @@ def test_a05_exit_value_agrees_with_dynkin_oracle_and_bridge_mc(
 def test_a06_gradient_blowup_exponent_at_kink(adv_problem, adv_solution):
     """v_x ~ x^(eta-1) near the kink: measured exponent -1/2 within 0.05."""
     diag = gradient_diagnostics(adv_solution, adv_problem,
-                                probe_points=np.linspace(0.5, 3.0, 20))
+                                probe_points=np.linspace(0.5, 3.0, 20)[:, None])
     assert diag.blowup_exponents[0.0] == pytest.approx(-0.5, abs=0.05)
 
 

@@ -145,8 +145,10 @@ class TestValueFunction:
         assert adv_solution.provenance == "closed_form"
 
 
-# A float, a (P,) array and a (P, 1) batch of states.
-STATES = [2.0, np.array([-1.0, 0.0, 2.0]), np.array([[2.0], [-1.0], [0.0], [0.5]])]
+# One state, three states and four states, each as the (P, 1) batch a
+# candidate is probed at.
+STATES = [np.array([[2.0]]), np.array([[-1.0], [0.0], [2.0]]),
+          np.array([[2.0], [-1.0], [0.0], [0.5]])]
 
 
 class TestClosedFormCandidates:
@@ -157,19 +159,18 @@ class TestClosedFormCandidates:
 
     @pytest.mark.parametrize("x", STATES, ids=["float", "flat", "batch"])
     def test_advertising_solution_is_the_closed_form_bitwise(self, adv_params, adv_solution, x):
-        flat = x[:, 0] if np.ndim(x) == 2 else x
         for t in (0.0, 0.6):
-            assert (np.asarray(adv_solution.value_at(t, x)).tobytes()
-                    == np.asarray(advertising_value(adv_params, t, flat)).tobytes())
-            assert (np.asarray(adv_solution.gradient_at(t, x)).tobytes()
-                    == np.asarray(advertising_gradient(adv_params, t, flat)).tobytes())
+            assert (adv_solution.value_at(t, x).tobytes()
+                    == advertising_value(adv_params, t, x[:, 0]).tobytes())
+            assert (adv_solution.gradient_at(t, x).tobytes()
+                    == advertising_gradient(adv_params, t, x[:, 0]).tobytes())
 
     @pytest.mark.parametrize("x", STATES, ids=["float", "flat", "batch"])
     def test_discounted_solution_is_the_constant_bitwise(self, x):
         sol = discounted_demo_solution(0.5, 2.0)
-        n = np.size(x)
-        assert np.asarray(sol.value_at(0.3, x)).tobytes() == np.full(n, 4.0).tobytes()
-        assert np.asarray(sol.gradient_at(0.3, x)).tobytes() == np.zeros(n).tobytes()
+        n = x.shape[0]
+        assert sol.value_at(0.3, x).tobytes() == np.full(n, 4.0).tobytes()
+        assert sol.gradient_at(0.3, x).tobytes() == np.zeros((n, 1)).tobytes()
 
 
 class TestAdvertisingProblem:
@@ -226,7 +227,7 @@ class TestExitDemos:
 class TestDiscountedDemo:
     def test_value_is_cost_over_rate(self):
         sol = discounted_demo_solution(0.5, 2.0)
-        assert sol.value_at(0.0, 1.0) == 4.0
+        assert sol.value_at(0.0, np.array([[1.0]]))[0] == 4.0
         np.testing.assert_array_equal(
             sol.value_at(0.0, np.array([[1.0], [7.0]])), [4.0, 4.0])
         np.testing.assert_array_equal(

@@ -1,14 +1,16 @@
-"""The pure helpers of tools/byte_identity.py, the CLI output-identity gate."""
+"""tools/byte_identity.py, the CLI output-identity gate: its pure helpers, and a
+small slice of its config set run end to end."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 
 import pytest
 
-_TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "tools", "byte_identity.py")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_TOOL = os.path.join(_ROOT, "tools", "byte_identity.py")
 _spec = importlib.util.spec_from_file_location("byte_identity", _TOOL)
 byte_identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_identity)
@@ -54,3 +56,19 @@ def test_src_lines_counts_like_wc_l(tmp_path):
     wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
     total = int(wc.stdout.split("\n")[-2].split()[0])
     assert byte_identity.src_lines(str(tmp_path)) == total == 4
+
+
+# One verify config per candidate kind: an advertising closed form, a constant
+# exit closed form, a solved exit field and a discounted closed form.
+_PINNED = ("ver_adv_feedback", "ver_exit_constant", "ver_exit_expected_time",
+           "ver_discounted_constant")
+
+
+def test_one_verify_run_per_candidate_kind_is_byte_identical(tmp_path):
+    with open(os.path.join(_ROOT, "BENCH_10.json")) as fh:
+        ref = json.load(fh)["byte_identity"]
+    got = byte_identity.run_configs({name: ref["configs"][name] for name in _PINNED},
+                                    _ROOT, str(tmp_path))
+    want = {k: v for k, v in ref["files"].items() if k.split("/")[0] in _PINNED}
+    assert len(want) == 12
+    assert byte_identity.diff(got, want) == []

@@ -369,7 +369,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
         field = SpaceTimeField.from_csv(str(out / "field.csv"))
-        assert abs(field.value_at(0.0, 2.0) - V0_AT_2) < 0.05
+        assert abs(field.value_at(0.0, np.array([[2.0]]))[0] - V0_AT_2) < 0.05
         report = _json_of(out, "residual.json")
         assert 0.0 <= report["sup_interior_residual"] < 1.0
 
@@ -716,7 +716,7 @@ class TestBenchmarkCommand:
             a, _ = bm.advertising_coefficients(params, t)
             v_x = float(bm.advertising_gradient(params, t, x))
             v_xx = eta * (1.0 + eta) * a * x ** (eta - 1.0)
-            h0, _, _ = _minimize_batch(prob_min, t, np.array([[x]]), np.array([[-v_x]]))
+            h0, _ = _minimize_batch(prob_min, t, np.array([[x]]), np.array([[-v_x]]))
             pde = max(pde, abs(v_t + 0.5 * beta ** 2 * x ** 2 * v_xx - alpha * x * v_x
                                - float(h0[0])))
 

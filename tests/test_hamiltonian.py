@@ -100,9 +100,10 @@ class TestMinimize:
         prob = _linear_drift_problem(ControlSet.finite([[0.5, -2.0]]),
                                      cost=lambda t, x, z: x[:, 0] * z[:, 1] ** 2)
         xs, ps = np.linspace(-1.0, 1.0, 7)[:, None], np.linspace(3.0, -3.0, 7)[:, None]
-        values, argmins, method = _minimize_batch(prob, 0.2, xs, ps)
+        values, argmins = _minimize_batch(prob, 0.2, xs, ps)
         zs = np.tile([0.5, -2.0], (7, 1))
-        assert method == "scan" and np.array_equal(argmins, zs)
+        assert minimize(prob, 0.2, xs[:1], ps[:1]).method == "scan"
+        assert np.array_equal(argmins, zs)
         assert np.array_equal(values, _h_cv(prob, 0.2, xs, ps, zs))
         argmins[0, 0] = 9.0  # a fresh array, not a view of the set's points
         assert np.array_equal(prob.control_set.points, [[0.5, -2.0]])
@@ -244,16 +245,16 @@ class TestBoxScanCorpus:
         # The lockstep scan must not couple rows: bit for bit, each row of
         # the batch gets what a one-row batch gives.
         prob, xs, ps, _ = _corpus(name)
-        values, argmins, method = _minimize_batch(prob, _T, xs, ps)
-        assert method == "scan"
+        values, argmins = _minimize_batch(prob, _T, xs, ps)
+        assert minimize(prob, _T, xs[:1], ps[:1]).method == "scan"
         for i in range(_ROWS):
-            v, z, _ = _minimize_batch(prob, _T, xs[i:i + 1], ps[i:i + 1])
+            v, z = _minimize_batch(prob, _T, xs[i:i + 1], ps[i:i + 1])
             assert v[0] == values[i] and np.array_equal(z[0], argmins[i]), i
 
     @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if n != "flat"))
     def test_matches_analytic_minimum(self, name):
         prob, xs, ps, argmin = _corpus(name)
-        values, argmins, _ = _minimize_batch(prob, _T, xs, ps)
+        values, argmins = _minimize_batch(prob, _T, xs, ps)
         zstar = argmin(xs[:, 0], ps[:, 0])
         h0 = _analytic_h0(prob, xs, ps, zstar)
         assert np.all(np.abs(values - h0) <= 1e-12 * (1.0 + np.abs(h0)))
@@ -299,7 +300,7 @@ class TestBoxScanCorpus:
 
     def test_flat_hamiltonian_is_zero(self):
         prob, xs, ps, _ = _corpus("flat")
-        values, argmins, _ = _minimize_batch(prob, _T, xs, ps)
+        values, argmins = _minimize_batch(prob, _T, xs, ps)
         assert np.all(values == 0.0) and np.all(argmins >= 0.0)
 
     @pytest.mark.parametrize("x", [7.0, 20.0])
@@ -307,7 +308,7 @@ class TestBoxScanCorpus:
         # Two consecutive +inf probes once compared inf >= inf - inf (NaN),
         # reset the upturn run and raised "not finite" here.
         prob, _, _, _ = _corpus("overflow")
-        v, z, _ = _minimize_batch(prob, 0.0, np.array([[x]]), np.array([[-1.0]]))
+        v, z = _minimize_batch(prob, 0.0, np.array([[x]]), np.array([[-1.0]]))
         assert v[0] == pytest.approx(1.0 - 40.0 * x, rel=1e-12)
         assert z[0, 0] == pytest.approx(40.0 * x, rel=1e-9)
 
@@ -323,10 +324,10 @@ class TestBoxScanCorpus:
         prob = _linear_drift_problem(ControlSet.box([0.0], [np.inf]), cost=cost)
         xs = np.array([[0.1], [7.0], [0.5], [20.0], [2.0]])
         ps = -np.ones_like(xs)
-        values, argmins, _ = _minimize_batch(prob, _T, xs, ps)
+        values, argmins = _minimize_batch(prob, _T, xs, ps)
         assert 0 < len(overflowed & set(xs[:, 0])) < xs.shape[0]
         for i in range(xs.shape[0]):
-            v, z, _ = _minimize_batch(prob, _T, xs[i:i + 1], ps[i:i + 1])
+            v, z = _minimize_batch(prob, _T, xs[i:i + 1], ps[i:i + 1])
             assert v[0] == values[i] and z[0, 0] == argmins[i, 0]
 
     def test_far_argmin_terminates(self):
@@ -334,7 +335,7 @@ class TestBoxScanCorpus:
         # can never narrow to 1e-8; the search stops when it stops shrinking.
         prob = _linear_drift_problem(ControlSet.box([0.0], [np.inf]),
                                      cost=lambda t, x, z: (z[:, 0] / 1e9) ** 2)
-        v, z, _ = _minimize_batch(prob, _T, np.array([[0.0]]), np.array([[-1.0]]))
+        v, z = _minimize_batch(prob, _T, np.array([[0.0]]), np.array([[-1.0]]))
         assert v[0] == pytest.approx(-2.5e17, rel=1e-12)
         assert z[0, 0] == pytest.approx(5e17, rel=1e-7)
 

@@ -195,8 +195,8 @@ class TestSolveExit:
         grid = Grid1D(0.0, 1.0, 201, 1500)
         field = solve_exit(exit_time_problem, grid)
         xs = grid.xs
-        assert np.max(np.abs(field.value_at(0.0, xs) - xs * (1 - xs))) <= 1e-3
-        assert field.value_at(0.0, 0.5) == pytest.approx(0.25, abs=5e-4)
+        assert np.max(np.abs(field.value_at(0.0, xs[:, None]) - xs * (1 - xs))) <= 1e-3
+        assert field.value_at(0.0, np.array([[0.5]]))[0] == pytest.approx(0.25, abs=5e-4)
 
     def test_grid_must_match_domain(self, exit_time_problem):
         with pytest.raises(ValueError, match="coincide with the domain"):
@@ -428,7 +428,7 @@ class TestRefineLadder:
 class TestGradientDiagnostics:
     def test_advertising_blowup_exponent(self, adv_problem, adv_solution):
         diag = gradient_diagnostics(adv_solution, adv_problem,
-                                    probe_points=np.linspace(0.5, 3.0, 20))
+                                    probe_points=np.linspace(0.5, 3.0, 20)[:, None])
         assert diag.blowup_exponents[0.0] == pytest.approx(-0.5, abs=0.05)
         assert np.isfinite(diag.weighted_gradient_sup)
         assert diag.weighted_gradient_sup > 0
@@ -476,24 +476,25 @@ class TestFieldProbing:
 
     def test_linear_in_x(self):
         f = self._field()
-        assert f.value_at(0.0, 0.25) == pytest.approx(0.5)
-        assert isinstance(f.value_at(0.0, 0.25), float)
-        out = f.value_at(0.0, np.array([0.0, 0.25, 1.0]))
+        assert f.value_at(0.0, np.array([[0.25]]))[0] == pytest.approx(0.5)
+        out = f.value_at(0.0, np.array([[0.0], [0.25], [1.0]]))
         assert np.allclose(out, [0.0, 0.5, 2.0])
 
     def test_piecewise_constant_from_left_in_t(self):
         f = self._field()
-        assert f.value_at(0.49, 0.0) == 0.0     # previous level
-        assert f.value_at(0.5, 0.0) == 10.0     # switches exactly at the node
-        assert f.value_at(0.51, 0.0) == 10.0
+        x = np.array([[0.0]])
+        assert f.value_at(0.49, x)[0] == 0.0     # previous level
+        assert f.value_at(0.5, x)[0] == 10.0     # switches exactly at the node
+        assert f.value_at(0.51, x)[0] == 10.0
 
     def test_time_clamping(self):
         f = self._field()
-        assert f.value_at(-1.0, 0.0) == 0.0
-        assert f.value_at(5.0, 0.0) == 20.0
+        x = np.array([[0.0]])
+        assert f.value_at(-1.0, x)[0] == 0.0
+        assert f.value_at(5.0, x)[0] == 20.0
 
     def test_x_clamping(self):
-        assert self._field().value_at(0.0, 7.0) == 2.0
+        assert self._field().value_at(0.0, np.array([[7.0]]))[0] == 2.0
 
     def test_shape_and_provenance_validation(self):
         grid = Grid1D(0.0, 1.0, 3, 2, t_final=1.0)

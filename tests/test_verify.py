@@ -1,5 +1,6 @@
 """Cost estimation, the fundamental identity, and optimality certificates."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from hjbverify import (
     VERDICT_INCONCLUSIVE,
+    AdvertisingParams,
     VERDICT_OPTIMAL,
     VERDICT_SUBOPTIMAL,
     ClosedFormValue,
@@ -20,6 +22,7 @@ from hjbverify import (
     Grid1D,
     SimConfig,
     advertising_feedback,
+    advertising_solution,
     advertising_value,
     certify,
     discounted_demo_solution,
@@ -310,7 +313,6 @@ def _lq_2d(closed_form: bool = True) -> ControlProblem:
 LQ_2D_VALUE = ClosedFormValue(
     lambda t, x: np.einsum("pn,pn->p", x, x) / (2.0 - t) + 2.0 * SIGMA_2D**2 * np.log(2.0 - t),
     lambda t, x: 2.0 * x / (2.0 - t),
-    dimension=2,
 )
 LQ_2D_FEEDBACK = FeedbackPolicy(lambda t, x: -x / (2.0 - t))
 LQ_2D_X0 = [1.0, -0.5]
@@ -358,12 +360,62 @@ class TestClosedFormValue:
     def test_batch_and_scalar_probes(self):
         cf = ClosedFormValue(value_fn=lambda t, x: x[:, 0] ** 2 + t,
                              gradient_fn=lambda t, x: 2.0 * x)
-        assert cf.value_at(0.5, 1.5) == 2.75
-        assert isinstance(cf.value_at(0.5, 1.5), float)
+        assert cf.value_at(0.5, np.array([[1.5]]))[0] == 2.75
         np.testing.assert_allclose(cf.value_at(0.0, np.array([[1.0], [2.0]])),
                                    [1.0, 4.0])
         np.testing.assert_allclose(cf.gradient_at(0.0, np.array([[3.0]])), [[6.0]])
         assert cf.provenance == "closed_form"
+        for single in (1.5, np.array([1.5])):
+            with pytest.raises(ValueError, match=r"\(P, n\) batch"):
+                cf.value_at(0.5, single)
+
+
+def _candidates():
+    """One candidate of each kind, with its grid (None for a closed form) and provenance."""
+    exit_grid = Grid1D(0.0, 1.0, 21, 20)
+    return {
+        "advertising": (advertising_solution(AdvertisingParams()), None, "closed_form"),
+        "discounted": (discounted_demo_solution(0.5, 2.0), None, "closed_form"),
+        "solved": (solve_exit(make_exit_demo("expected_exit_time"), exit_grid),
+                   dataclasses.replace(exit_grid, t_final=3.0), "solved"),
+        "sampled": (_exit_field(), Grid1D(0.0, 1.0, 41, 30, t_final=3.0), "closed_form"),
+    }
+
+
+class TestCandidateContract:
+    """value_at/gradient_at take a (P, n) batch and return (P,) and (P, n);
+    ``grid`` tells a field from a closed form."""
+
+    @pytest.mark.parametrize("kind", ["advertising", "discounted", "solved", "sampled"])
+    def test_shapes_grid_and_provenance(self, kind):
+        source, grid, provenance = _candidates()[kind]
+        x = np.array([[0.2], [0.5], [0.7]])
+        for t in (0.0, 0.4):
+            value, gradient = source.value_at(t, x), source.gradient_at(t, x)
+            assert value.shape == (3,) and value.dtype == float
+            assert gradient.shape == (3, 1) and gradient.dtype == float
+        assert source.grid == grid
+        assert source.provenance == provenance
+
+    @pytest.mark.parametrize("kind", ["advertising", "discounted", "solved", "sampled"])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5]), np.array([0.2, 0.5, 0.7]),
+                                   np.zeros((2, 2, 2))],
+                             ids=["scalar", "point", "flat", "three_axes"])
+    def test_unbatched_states_raise(self, kind, x):
+        source = _candidates()[kind][0]
+        for probe in (source.value_at, source.gradient_at):
+            with pytest.raises(ValueError, match=r"batch of states, got shape"):
+                probe(0.0, x)
+
+    @pytest.mark.parametrize("kind", ["solved", "sampled"])
+    def test_a_field_rejects_a_wider_batch(self, kind):
+        # A field used to read column 0 of such a batch without a word.  A
+        # closed form has no width of its own (its callables decide: see the
+        # 2-d LQ candidate); a field is 1-d.
+        source = _candidates()[kind][0]
+        for probe in (source.value_at, source.gradient_at):
+            with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+                probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +433,7 @@ def _rewalk(problem, source, batch, c1=1.0, c2=1.0, with_tail=False):
     prob = canonicalize(problem)
     flip = -1.0 if problem.sense == "maximize" else 1.0
     rate = problem.horizon.rate if isinstance(problem.horizon, DiscountedInfinite) else None
-    grid = getattr(source, "grid", None)
+    grid = None if source is None else source.grid
     point_tol = c1 * (grid.dx if grid is not None else 0.0) + c2 * math.sqrt(batch.dt)
     keep = batch.diverged_step < 0
     states, controls = batch.states[keep], batch.controls[keep]
@@ -405,9 +457,9 @@ def _rewalk(problem, source, batch, c1=1.0, c2=1.0, with_tail=False):
         cost[live] += w[i] * ell
         if source is None:
             continue
-        p = flip * np.asarray(source.gradient_at(t, x), dtype=float).reshape(x.shape)
+        p = flip * source.gradient_at(t, x)
         hcv = np.einsum("pn,pn->p", prob.f1(t, x, z), p) + ell
-        h0, _, _ = _minimize_batch(prob, t, x, p)
+        h0, _ = _minimize_batch(prob, t, x, p)
         g = _clamped_gap(hcv - h0, h0)
         gap[live] += w[i] * g
         points += x.shape[0]
@@ -423,7 +475,7 @@ def _rewalk(problem, source, batch, c1=1.0, c2=1.0, with_tail=False):
             cost[~exited] += prob.terminal(states[~exited, S])
     elif with_tail:
         t_end = float(batch.times[-1])
-        v_end = flip * np.asarray(source.value_at(t_end, states[:, S]), dtype=float).reshape(K)
+        v_end = flip * source.value_at(t_end, states[:, S])
         tail = math.exp(-rate * (t_end - batch.t0)) * v_end
     return cost, gap, points, violations, tail
 
