@@ -32,11 +32,13 @@ is cost/rate exactly.  ``advertising_solution`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import probe_batch
 from .problem import (
     ControlProblem,
     ControlSet,
@@ -113,16 +115,27 @@ def _w(params: AdvertisingParams, t) -> np.ndarray:
 
 
 def advertising_coefficients(params: AdvertisingParams, t):
-    """Closed-form (a(t), b(t)); vectorized over t."""
-    t = np.asarray(t, dtype=float)
+    """Closed-form (a(t), b(t)); vectorized over t.
+
+    A scalar t returns floats from a one-entry memo: a certificate's policy
+    and candidate ask for the same (params, t) on every Euler step.
+    """
+    if np.ndim(t) == 0:
+        return _coefficients_at(params, float(t))
+    return _coefficients(params, np.asarray(t, dtype=float))
+
+
+@functools.lru_cache(maxsize=1)
+def _coefficients_at(params: AdvertisingParams, t: float) -> tuple[float, float]:
+    a, b = _coefficients(params, np.asarray(t))
+    return float(a), float(b)
+
+
+def _coefficients(params: AdvertisingParams, t: np.ndarray):
     if (t > params.horizon + 1e-12).any() or (t < -1e-12).any():
         raise ValueError(f"t must lie in [0, {params.horizon}], got range "
                          f"[{np.min(t):g}, {np.max(t):g}]")
-    a = _w(params, t) ** (-params.eta)
-    b = -np.exp(params.gamma * (t - params.horizon))
-    if t.ndim == 0:
-        return float(a), float(b)
-    return a, b
+    return _w(params, t) ** (-params.eta), -np.exp(params.gamma * (t - params.horizon))
 
 
 def advertising_value(params: AdvertisingParams, t, x):
@@ -159,8 +172,8 @@ def advertising_feedback(params: AdvertisingParams, t, x):
 def advertising_solution(params: AdvertisingParams) -> ClosedFormValue:
     """The closed-form v and v_x as a candidate value function (maximize sense)."""
     return ClosedFormValue(
-        value_fn=lambda t, x: advertising_value(params, t, x[:, 0]),
-        gradient_fn=lambda t, x: advertising_gradient(params, t, x[:, 0]),
+        value_fn=lambda t, x: advertising_value(params, t, probe_batch(x, 1)[:, 0]),
+        gradient_fn=lambda t, x: advertising_gradient(params, t, probe_batch(x, 1)[:, 0]),
     )
 
 
@@ -319,5 +332,5 @@ def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem
 def discounted_demo_solution(rate: float = 1.0, cost: float = 1.0) -> ClosedFormValue:
     """The exact value v ≡ cost/rate of the discounted demo, with zero gradient."""
     v = float(cost) / float(rate)
-    return ClosedFormValue(value_fn=lambda t, x: np.full(x.shape[0], v),
-                           gradient_fn=lambda t, x: np.zeros_like(x))
+    return ClosedFormValue(value_fn=lambda t, x: np.full(probe_batch(x, 1).shape[0], v),
+                           gradient_fn=lambda t, x: np.zeros_like(probe_batch(x, 1)))

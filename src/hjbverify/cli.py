@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from . import benchmarks as bm
 from . import hamiltonian, hjb, sde, verify
+from ._util import probe_batch
 from .problem import (
     DiscountedInfinite,
     Domain,
@@ -196,8 +197,8 @@ def _closed_form_source(cfg: dict, params):
     if kind == "exit_constant":
         c = float(cfg["problem"]["constant"])
         return verify.ClosedFormValue(
-            value_fn=lambda t, x, _c=c: np.full(x.shape[0], _c),
-            gradient_fn=lambda t, x: np.zeros_like(x),
+            value_fn=lambda t, x, _c=c: np.full(probe_batch(x, 1).shape[0], _c),
+            gradient_fn=lambda t, x: np.zeros_like(probe_batch(x, 1)),
         )
     if kind == "discounted_constant":
         return bm.discounted_demo_solution(rate=float(cfg["problem"]["rate"]),

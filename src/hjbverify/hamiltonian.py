@@ -13,23 +13,23 @@ orientation (the gradient of the *minimize*-sense value function).
 
 Minimization strategy: a registered closed form wins; otherwise finite control
 sets are enumerated (vectorized over evaluation points) and box sets are
-scanned with a coarse grid of 33 points per axis followed by
-golden-section refinement down to an absolute control step of 1e-8.  One
-golden pass settles a single control axis; with several axes the passes
-repeat in rounds of coordinate descent only while a round both moves a
-coordinate by more than that step and lowers H_cv by more than roundoff (a
-minimizer is located only to about sqrt(eps), where H_cv is flat to
-roundoff, so further rounds would only wander).  Coordinate descent
-contracts by about c² per round on a valley with control coupling c, so
-strongly coupled controls can reach the cap of 100 rounds still descending:
-their values are returned as they stand, and each minimization that leaves
-rows at the cap logs one WARNING giving their number.  Unbounded
-axes are bracketed by geometric doubling from the finite corner; the upturn of
-H_cv is checked, never assumed, and a missing upturn after 1000 doublings
-raises (the Hamiltonian is not finite there).  The box scan runs in lockstep
-over all evaluation points: each of its steps makes one H_cv call covering
-every row still active, and every row gets bit for bit the result of a scan
-of that row alone.
+scanned with a coarse grid of 33 points per axis, then refined by a K-point
+section search (31 interior points per H_cv call, each call shrinking a
+bracket 16-fold) down to an absolute control step of 1e-8.  One section pass
+settles a single control axis; with several axes the passes repeat in rounds
+of coordinate descent only while a round both moves a coordinate by more than
+that step and lowers H_cv by more than roundoff (a minimizer is located only
+to about sqrt(eps), where H_cv is flat to roundoff, so further rounds would
+only wander).  Coordinate descent contracts by about c² per round on a valley
+with control coupling c, so strongly coupled controls can reach the cap of 100
+rounds still descending: their values are returned as they stand, and each
+minimization that leaves rows at the cap logs one WARNING giving their number.
+Unbounded axes are bracketed by geometric doubling from the finite corner, 8
+doublings per H_cv call; the upturn of H_cv is checked, never assumed, and a
+missing upturn after 1000 doublings raises (the Hamiltonian is not finite
+there).  The box scan runs in lockstep over all evaluation points: each of its
+steps makes one H_cv call covering every row still active, and every row gets
+bit for bit the result of a scan of that row alone.
 """
 
 from __future__ import annotations
@@ -55,10 +55,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _SCAN_POINTS = 33          # coarse box-scan grid points per control axis
-_GOLDEN_STEP = 1e-8        # absolute control-step target of the refinement
+_SECTION_POINTS = 31       # interior points of one section-search pass
+_CONTROL_STEP = 1e-8       # absolute control-step target of the refinement
 _ROUND_GAIN = 8 * np.finfo(float).eps  # a round that lowers H_cv by less is roundoff
 _MAX_ROUNDS = 100          # coordinate-descent rounds of the box scan (k > 1)
 _MAX_DOUBLINGS = 1000
+_BRACKET_BLOCK = 8         # doublings probed per H_cv call of the bracket
 _UPTURN_RUN = 3            # consecutive increases required to accept a bracket
 
 
@@ -232,7 +234,7 @@ def _h_or_inf(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs
 
 
 def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
-    """Coarse grid + golden-section refinement over a (possibly unbounded) box.
+    """Coarse grid + K-point section refinement over a (possibly unbounded) box.
 
     All rows step in lockstep: each step makes one H_cv call covering every
     row still active, and each row follows exactly the arithmetic of a scan
@@ -265,12 +267,12 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
     h = vals[np.arange(P), best]
     cell = (hi - lo) / (res - 1)
 
-    # Coordinate-wise golden-section refinement around the best cell.  One
-    # pass settles a single axis.  With several, a row goes on to another
-    # round only while its last one both moved a coordinate by more than the
-    # control step and lowered H_cv by more than roundoff; an axis's next
-    # bracket shrinks by 4 but stays twice as wide as its last move, so a
-    # coupled valley is followed, not cut off.
+    # Coordinate-wise section search around the best cell.  One pass settles
+    # a single axis.  With several, a row goes on to another round only while
+    # its last one both moved a coordinate by more than the control step and
+    # lowered H_cv by more than roundoff; an axis's next bracket shrinks by 4
+    # but stays twice as wide as its last move, so a coupled valley is
+    # followed, not cut off.
     rows = np.arange(P)
     for _ in range(1 if k == 1 else _MAX_ROUNDS):
         before, step = h[rows], np.empty((rows.size, k))
@@ -278,13 +280,13 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
             zr = z[rows]
             a = np.maximum(lo[rows, j], zr[:, j] - cell[rows, j])
             b = np.minimum(hi[rows, j], zr[:, j] + cell[rows, j])
-            zj, h[rows] = _golden(prob, t, xs[rows], ps[rows], zr, j, a, b)
+            zj, h[rows] = _section(prob, t, xs[rows], ps[rows], zr, j, a, b)
             step[:, j] = np.abs(zj - zr[:, j])
             z[rows, j] = zj
-        cell[rows] = np.maximum(np.maximum(cell[rows] / 4.0, 2.0 * step), _GOLDEN_STEP)
+        cell[rows] = np.maximum(np.maximum(cell[rows] / 4.0, 2.0 * step), _CONTROL_STEP)
         after = h[rows]
         descent = before - after > _ROUND_GAIN * (1.0 + np.abs(after))
-        rows = rows[(step.max(axis=1) > _GOLDEN_STEP) & descent]
+        rows = rows[(step.max(axis=1) > _CONTROL_STEP) & descent]
         if rows.size == 0:
             break
     else:
@@ -300,20 +302,24 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
              base: np.ndarray, axis: int, direction: float) -> np.ndarray:
     """Geometric doubling along one unbounded axis until H_cv turns upward.
 
-    The doubling sequence from ``base`` is shared by all rows; each row stops
-    at its own _UPTURN_RUN-th consecutive non-decrease, and the (P,) stops are
-    returned.  Raises, naming the first row that never turns, after
-    _MAX_DOUBLINGS (H0 = -inf there, i.e. the Hamiltonian is not finite).
+    Returns the (P,) stops.  The doubling sequence from ``base`` is shared by
+    all rows and probed _BRACKET_BLOCK values per H_cv call; each row stops at
+    its own _UPTURN_RUN-th consecutive non-decrease, read value by value as
+    one doubling per call would.  Raises, naming the first row that never
+    turns, after _MAX_DOUBLINGS (H0 = -inf there: the Hamiltonian is not finite).
     """
-    start, rows = base[axis], np.arange(xs.shape[0])
-    stops, z = np.empty(rows.size), np.tile(base, (rows.size, 1))
-    prev = _h_or_inf(prob, t, xs, ps, z)
+    start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
+    prev = _h_or_inf(prob, t, xs, ps, np.tile(base, (rows.size, 1)))
     increases = np.zeros(rows.size, dtype=int)
-    step = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        value = start + direction * step
-        z[:, axis] = value
-        cur = _h_or_inf(prob, t, xs[rows], ps[rows], z[:rows.size])
+    values = start + direction * np.ldexp(1.0, np.arange(_MAX_DOUBLINGS))
+    for first in range(0, _MAX_DOUBLINGS, _BRACKET_BLOCK):
+        block = values[first:first + _BRACKET_BLOCK]
+        m = block.size  # value-major: _h_or_inf splits off far overflows together
+        z = np.tile(base, (m * rows.size, 1))
+        z[:, axis] = np.repeat(block, rows.size)
+        cur = _h_or_inf(prob, t, np.tile(xs[rows], (m, 1)), np.tile(ps[rows], (m, 1)),
+                        z).reshape(m, rows.size)
+        before = np.vstack([prev, cur[:-1]])
         # Non-decrease counts toward the upturn: a flat H_cv (no control
         # dependence along this axis) attains its infimum anywhere, so any
         # finite bracket is valid; only a strict decrease resets the run.
@@ -321,15 +327,16 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
         # with a finite non-decrease, but cannot start one: +inf also stands
         # for an evaluation that broke down (0·inf), which is no upturn.
         with np.errstate(invalid="ignore"):  # inf - inf after an overflow
-            rise = np.isfinite(cur) & (cur >= prev - 1e-14 * (1.0 + np.abs(prev)))
-        up = rise | ((cur == math.inf) & (increases > 0))
-        increases = np.where(up, increases + 1, 0)
-        done = increases >= _UPTURN_RUN
-        stops[rows[done]] = value
-        rows, prev, increases = rows[~done], cur[~done], increases[~done]
+            rise = np.isfinite(cur) & (cur >= before - 1e-14 * (1.0 + np.abs(before)))
+        stop = np.full(rows.size, -1)
+        for j in range(m):  # the run, value by value; a row keeps its first stop
+            increases = np.where(rise[j] | ((cur[j] == math.inf) & (increases > 0)), increases + 1, 0)
+            stop = np.where((stop < 0) & (increases >= _UPTURN_RUN), j, stop)
+        done = stop >= 0
+        stops[rows[done]] = block[stop[done]]
+        rows, prev, increases = rows[~done], cur[-1, ~done], increases[~done]
         if rows.size == 0:
             return stops
-        step *= 2.0
     i = rows[0]
     raise ValueError(
         f"Hamiltonian is not finite at t={t}, x={xs[i]}, p={ps[i]}: H_cv never "
@@ -338,54 +345,47 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     )
 
 
-def _golden(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,
-            axis: int, a: np.ndarray, b: np.ndarray,
-            tol: float = _GOLDEN_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minimum along ``axis`` of every row, to absolute width ``tol``.
+def _section(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,
+             axis: int, a: np.ndarray, b: np.ndarray,
+             tol: float = _CONTROL_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """K-point section search along ``axis`` of every row, to absolute width ``tol``.
 
-    Returns the (P,) minimizing coordinates and the H_cv values there.
-
-    Row i searches [a[i], b[i]] with its other coordinates fixed at z[i]; the
-    rows step in lockstep, each until its own bracket is narrow enough or
-    stops shrinking (where the spacing of floats near z exceeds ``tol``).  The
-    original endpoints compete with the interior estimate, so a minimum
-    attained exactly on the boundary (an active box constraint) is returned
-    exactly rather than displaced by half the final bracket width.
+    Returns the (P,) minimizing coordinates and the H_cv values there.  Row
+    i searches [a[i], b[i]] with its other coordinates fixed at z[i].  A pass
+    evaluates _SECTION_POINTS evenly spaced interior points of each live
+    row's bracket in one H_cv call and keeps the two cells around the first
+    minimizing point, until the bracket is narrow enough or stops shrinking
+    (where the spacing of floats near z exceeds ``tol``).  The original
+    endpoints compete with the final midpoint, so a minimum attained exactly
+    on the boundary (an active box constraint) is returned exactly rather
+    than displaced by half the final bracket width.
     """
-    def fn(xl, pl, zl, v):
-        if v.size == 0:  # no live row: call no coefficient on an empty batch
-            return v
-        zs = zl.copy()
-        zs[:, axis] = v
-        return _h_cv(prob, t, xl, pl, zs)
+    def fn(xl, pl, zl, v):  # H_cv at the (R, m) coordinates v of R rows
+        m = v.shape[1]
+        zs = np.repeat(zl, m, axis=0)
+        zs[:, axis] = v.ravel()
+        return _h_cv(prob, t, np.repeat(xl, m, axis=0), np.repeat(pl, m, axis=0), zs).reshape(v.shape)
 
     a0, b0, a, b = a, b, a.copy(), b.copy()
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    frac = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
     # The loop works on the live rows only, compacted whenever one finishes;
     # a row's final bracket is written back to a, b as it leaves.
     rows = np.flatnonzero(b - a > tol)
     lo, hi, xl, pl, zl = a[rows], b[rows], xs[rows], ps[rows], z[rows]
     width = hi - lo
-    x1, x2 = hi - invphi * width, lo + invphi * width
-    f1, f2 = fn(xl, pl, zl, x1), fn(xl, pl, zl, x2)
     while rows.size:
-        left = f1 <= f2
-        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        pts = np.concatenate([lo[:, None], lo[:, None] + width[:, None] * frac, hi[:, None]], axis=1)
+        best = np.argmin(fn(xl, pl, zl, pts[:, 1:-1]), axis=1)  # pts[:, best + 1] is the minimum
+        lo, hi = np.take_along_axis(pts, best[:, None] + [0, 2], axis=1).T
         w = hi - lo
-        new = np.where(left, hi - invphi * w, lo + invphi * w)
-        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
-        fnew = fn(xl, pl, zl, new)
-        f1, f2 = np.where(left, fnew, f2), np.where(left, f1, fnew)
         keep = (w > tol) & (w < width)  # far out, ulp(z) > tol stalls the bracket
         width = w
         if not keep.all():
             a[rows], b[rows] = lo, hi
-            rows, lo, hi, x1, x2, f1, f2, width, xl, pl, zl = (
-                v[keep] for v in (rows, lo, hi, x1, x2, f1, f2, width, xl, pl, zl))
-    candidates = np.stack([0.5 * (a + b), a0, b0])
-    values = fn(np.tile(xs, (3, 1)), np.tile(ps, (3, 1)), np.tile(z, (3, 1)),
-                candidates.ravel()).reshape(3, -1)
-    pick = np.argmin(values, axis=0), np.arange(a.size)
+            rows, lo, hi, width, xl, pl, zl = (v[keep] for v in (rows, lo, hi, width, xl, pl, zl))
+    candidates = np.column_stack([0.5 * (a + b), a0, b0])
+    values = fn(xs, ps, z, candidates)
+    pick = np.arange(a.size), np.argmin(values, axis=1)
     return candidates[pick], values[pick]
 
 

@@ -533,7 +533,7 @@ def _lower_bound_note(source, ladder) -> str:
             "treated as a strong-solution proxy and its value at (t0, x0) "
             "lower-bounds the cost of every admissible policy."
         )
-    if passed is None and source.provenance == "closed_form":
+    if passed is None and source.grid is None:
         return (
             "v <= V applies: the candidate is a closed-form solution, so its "
             "value at (t0, x0) lower-bounds the cost of every admissible policy."

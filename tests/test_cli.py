@@ -621,6 +621,14 @@ class TestVerifyCommand:
         assert record == {"check": "verification",
                           "message": "truncation tail bound exceeds tolerance"}
 
+    def test_exit_constant_candidate_rejects_a_wider_batch(self):
+        # The 1-d constant candidate once filled a value per row of any width.
+        source = cli._closed_form_source({"problem": {"kind": "exit_constant", "constant": 2.5}}, None)
+        assert source.value_at(0.0, np.array([[0.2], [0.7]])).tolist() == [2.5, 2.5]
+        for probe in (source.value_at, source.gradient_at):
+            with pytest.raises(ValueError, match=r"\(P, 1\) batch of states"):
+                probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
+
 
 class TestBenchmarkCommand:
     def test_default_tables_and_self_checks(self, tmp_path):

@@ -1,6 +1,7 @@
 """Hamiltonian evaluation, minimization, duality gaps, feedback maps."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjbverify import (
+    CoefficientError,
     ControlProblem,
     ControlSet,
     FiniteHorizon,
@@ -235,6 +237,29 @@ def _corpus(name):
     return _linear_drift_problem(U, cost=_overflow_quiet(cost)), xs, ps, argmin
 
 
+def _reference_stops(prob, xs, ps, base, axis, direction):
+    """The bracket's doubling rule, one probe per H_cv call and one row at a time."""
+    def h(x, p, value):
+        z = base.copy()
+        z[axis] = value
+        try:
+            return float(_h_cv(prob, _T, x[None], p[None], z[None])[0])
+        except CoefficientError:
+            return math.inf
+
+    stops = []
+    for x, p in zip(xs, ps):
+        prev, run, step = h(x, p, base[axis]), 0, 1.0
+        while run < 3:
+            value = base[axis] + direction * step
+            cur = h(x, p, value)
+            rise = math.isfinite(cur) and cur >= prev - 1e-14 * (1.0 + abs(prev))
+            run = run + 1 if rise or (cur == math.inf and run > 0) else 0
+            prev, step = cur, 2.0 * step
+        stops.append(value)
+    return np.array(stops)
+
+
 def _analytic_h0(prob, xs, ps, zstar):
     return ps[:, 0] * zstar.sum(axis=1) + prob.cost_rate(_T, xs, zstar)
 
@@ -264,12 +289,12 @@ class TestBoxScanCorpus:
 
     @pytest.mark.parametrize("name", sorted(_CORPUS))
     def test_refinement_stops_once_converged(self, name, monkeypatch):
-        # One golden pass settles a single axis; the separable k2 is done
+        # One section pass settles a single axis; the separable k2 is done
         # after a second round that finds nothing left to gain.
         passes = []
-        golden = hamiltonian._golden
-        monkeypatch.setattr(hamiltonian, "_golden",
-                            lambda *a, **kw: passes.append(a[5]) or golden(*a, **kw))
+        section = hamiltonian._section
+        monkeypatch.setattr(hamiltonian, "_section",
+                            lambda *a, **kw: passes.append(a[5]) or section(*a, **kw))
         prob, xs, ps, _ = _corpus(name)
         _minimize_batch(prob, _T, xs, ps)
         k = prob.control_dimension
@@ -279,6 +304,32 @@ class TestBoxScanCorpus:
             assert passes == [0]
         else:
             assert passes in ([0, 1], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if n not in ("k2", "valley", "overflow")))
+    def test_one_axis_scan_makes_few_h_cv_calls(self, name, monkeypatch):
+        # Rows are spent instead of calls, since each call has a fixed cost:
+        # a section pass evaluates 31 points per row in one call and a
+        # bracket call probes 8 doublings, so a one-axis minimization takes
+        # about a dozen calls.  The overflow class is left out: _h_or_inf
+        # splits its overflowing batches into many calls.
+        calls = []
+        monkeypatch.setattr(hamiltonian, "_h_cv", lambda *a: calls.append(1) or _h_cv(*a))
+        prob, xs, ps, _ = _corpus(name)
+        _minimize_batch(prob, _T, xs, ps)
+        assert len(calls) <= 16
+
+    @pytest.mark.parametrize("name", ["upper_bounded", "two_sided", "overflow", "valley"])
+    def test_bracket_stops_equal_the_sequential_rule(self, name):
+        prob, xs, ps, _ = _corpus(name)
+        U = prob.control_set
+        base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
+        for axis in range(U.dimension):
+            for bound, direction in ((U.upper, 1.0), (U.lower, -1.0)):
+                if np.isfinite(bound[axis]):
+                    continue
+                stops = hamiltonian._bracket(prob, _T, xs, ps, base, axis, direction)
+                want = _reference_stops(prob, xs, ps, base, axis, direction)
+                assert np.array_equal(stops, want), (axis, direction)
 
     @pytest.mark.parametrize("c, warns", [(_VALLEY_C, False), (0.99, True)])
     def test_round_cap_warns_once_with_the_row_count(self, c, warns, caplog):
@@ -331,7 +382,7 @@ class TestBoxScanCorpus:
             assert v[0] == values[i] and z[0, 0] == argmins[i, 0]
 
     def test_far_argmin_terminates(self):
-        # z* = 5e17: floats there are 64 apart, so the golden-section bracket
+        # z* = 5e17: floats there are 64 apart, so the section-search bracket
         # can never narrow to 1e-8; the search stops when it stops shrinking.
         prob = _linear_drift_problem(ControlSet.box([0.0], [np.inf]),
                                      cost=lambda t, x, z: (z[:, 0] / 1e9) ** 2)

@@ -235,6 +235,15 @@ class TestCertify:
         cert = certify(adv_problem, field, ZERO, 0.0, 2.0, cfg)
         assert "not asserted" in cert.lower_bound_note
 
+    def test_sampled_field_is_not_read_as_a_closed_form(self, exit_time_problem):
+        # field_from_callable keeps provenance "closed_form" by default, but
+        # the candidate is a linear interpolant with Δx = 0.1 in its
+        # allowance: only a candidate without a grid is a closed form.
+        field = field_from_callable(lambda t, xs: xs * (1 - xs), Grid1D(0, 1, 11, 30, t_final=3.0))
+        cert = certify(exit_time_problem, field, ZERO, 0.0, 0.5,
+                       SimConfig(dt=0.05, n_paths=50, seed=1))
+        assert "not asserted" in cert.lower_bound_note
+
 
 class TestDiscountedVerify:
     def test_constant_demo_identity(self):
