@@ -54,15 +54,20 @@ def as_size(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+class ProbeShapeError(ValueError):
+    """A candidate was probed at something other than a (P, n) batch of states."""
+
+
 def probe_batch(x, dim: int | None = None) -> np.ndarray:
     """``x`` as the (P, n) float batch of states a candidate is probed at.
 
     A scalar, a single point, or a batch whose width is not ``dim`` (when
-    given) raises ValueError naming the expected shape; nothing is reshaped.
+    given) raises :class:`ProbeShapeError` naming the expected shape; nothing
+    is reshaped.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
-        raise ValueError(f"a candidate is probed at a (P, {dim or 'n'}) batch of states, "
+        raise ProbeShapeError(f"a candidate is probed at a (P, {dim or 'n'}) batch of states, "
                          f"got shape {arr.shape}")
     return arr
 
@@ -76,7 +81,9 @@ def batch_call(fn, *args, expect_shape: tuple[int, ...], label: str):
     without a fallback: when the expected last axis has length 1 and only that
     axis is missing, e.g. a (P,) result for an expected (P, 1).  The first
     fallback of each ``label`` is logged as a warning.  If the loop raises
-    too, its exception is chained to the vectorized call's.
+    too, its exception is chained to the vectorized call's.  A
+    :class:`ProbeShapeError` raised inside ``fn`` is a wrong-shape batch, not
+    a scalar-only callable: it is raised at once, without the fallback.
     """
     first = None
     try:
@@ -86,6 +93,8 @@ def batch_call(fn, *args, expect_shape: tuple[int, ...], label: str):
         if expect_shape[-1:] == (1,) and out.shape == expect_shape[:-1]:
             return out.reshape(expect_shape)
         reason = f"returned shape {out.shape}, expected {expect_shape}"
+    except ProbeShapeError:
+        raise
     except Exception as exc:
         first = exc
         reason = f"raised {type(exc).__name__}: {exc}"

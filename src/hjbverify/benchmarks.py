@@ -32,7 +32,6 @@ is cost/rate exactly.  ``advertising_solution`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -115,27 +114,16 @@ def _w(params: AdvertisingParams, t) -> np.ndarray:
 
 
 def advertising_coefficients(params: AdvertisingParams, t):
-    """Closed-form (a(t), b(t)); vectorized over t.
-
-    A scalar t returns floats from a one-entry memo: a certificate's policy
-    and candidate ask for the same (params, t) on every Euler step.
-    """
-    if np.ndim(t) == 0:
-        return _coefficients_at(params, float(t))
-    return _coefficients(params, np.asarray(t, dtype=float))
-
-
-@functools.lru_cache(maxsize=1)
-def _coefficients_at(params: AdvertisingParams, t: float) -> tuple[float, float]:
-    a, b = _coefficients(params, np.asarray(t))
-    return float(a), float(b)
-
-
-def _coefficients(params: AdvertisingParams, t: np.ndarray):
+    """Closed-form (a(t), b(t)); vectorized over t."""
+    t = np.asarray(t, dtype=float)
     if (t > params.horizon + 1e-12).any() or (t < -1e-12).any():
         raise ValueError(f"t must lie in [0, {params.horizon}], got range "
                          f"[{np.min(t):g}, {np.max(t):g}]")
-    return _w(params, t) ** (-params.eta), -np.exp(params.gamma * (t - params.horizon))
+    a = _w(params, t) ** (-params.eta)
+    b = -np.exp(params.gamma * (t - params.horizon))
+    if t.ndim == 0:
+        return float(a), float(b)
+    return a, b
 
 
 def advertising_value(params: AdvertisingParams, t, x):

@@ -14,26 +14,29 @@ orientation (the gradient of the *minimize*-sense value function).
 Minimization strategy: a registered closed form wins; otherwise finite control
 sets are enumerated (vectorized over evaluation points) and box sets are
 scanned with a coarse grid of 33 points per axis, then refined by a K-point
-section search (31 interior points per H_cv call, each call shrinking a
-bracket 16-fold) down to an absolute control step of 1e-8.  One section pass
-settles a single control axis; with several axes the passes repeat in rounds
-of coordinate descent only while a round both moves a coordinate by more than
-that step and lowers H_cv by more than roundoff (a minimizer is located only
-to about sqrt(eps), where H_cv is flat to roundoff, so further rounds would
-only wander).  Coordinate descent contracts by about c² per round on a valley
-with control coupling c, so strongly coupled controls can reach the cap of 100
-rounds still descending: their values are returned as they stand, and each
-minimization that leaves rows at the cap logs one WARNING giving their number.
-Unbounded axes are bracketed by geometric doubling from the finite corner, 8
-doublings per H_cv call; the upturn of H_cv is checked, never assumed, and a
-missing upturn after 1000 doublings raises (the Hamiltonian is not finite
-there).  The box scan runs in lockstep over all evaluation points: each of its
-steps makes one H_cv call covering every row still active, and every row gets
-bit for bit the result of a scan of that row alone.
+section search (11 interior points per H_cv call, each call shrinking a
+bracket 6-fold) down to an absolute control step of 1e-8: far fewer calls,
+each with its fixed cost, than golden section, at about its cost per row on
+large batches.  One section pass settles a single control axis; with several
+axes the passes repeat in rounds of coordinate descent only while a round both
+moves a coordinate by more than that step and lowers H_cv by more than
+roundoff (a minimizer is located only to about sqrt(eps), where H_cv is flat
+to roundoff, so further rounds would only wander).  Coordinate descent
+contracts by about c² per round on a valley with control coupling c, so
+strongly coupled controls can reach the cap of 100 rounds still descending:
+their values are returned as they stand, and each minimization that leaves
+rows at the cap logs one WARNING giving their number.  Unbounded axes are
+bracketed by geometric doubling from the finite corner, up to 8 doublings per
+H_cv call (one on a large batch); the upturn of H_cv is checked, never
+assumed, and a missing upturn after 1000 doublings raises (the Hamiltonian is
+not finite there).  The box scan runs in lockstep over all evaluation points:
+each of its steps makes one H_cv call covering every row still active, and
+every row gets bit for bit the result of a scan of that row alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -55,12 +58,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _SCAN_POINTS = 33          # coarse box-scan grid points per control axis
-_SECTION_POINTS = 31       # interior points of one section-search pass
 _CONTROL_STEP = 1e-8       # absolute control-step target of the refinement
+_SECTION_POINTS = 11       # interior points of one section-search pass
+_CALL_POINTS = 1000        # H_cv points that cost about as much as one call's fixed overhead
 _ROUND_GAIN = 8 * np.finfo(float).eps  # a round that lowers H_cv by less is roundoff
 _MAX_ROUNDS = 100          # coordinate-descent rounds of the box scan (k > 1)
 _MAX_DOUBLINGS = 1000
-_BRACKET_BLOCK = 8         # doublings probed per H_cv call of the bracket
+_BRACKET_BLOCK = 8         # most doublings one H_cv call of the bracket probes
 _UPTURN_RUN = 3            # consecutive increases required to accept a bracket
 
 
@@ -303,38 +307,46 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     """Geometric doubling along one unbounded axis until H_cv turns upward.
 
     Returns the (P,) stops.  The doubling sequence from ``base`` is shared by
-    all rows and probed _BRACKET_BLOCK values per H_cv call; each row stops at
-    its own _UPTURN_RUN-th consecutive non-decrease, read value by value as
-    one doubling per call would.  Raises, naming the first row that never
-    turns, after _MAX_DOUBLINGS (H0 = -inf there: the Hamiltonian is not finite).
+    all rows; each row stops at its own _UPTURN_RUN-th consecutive
+    non-decrease, read value by value as one doubling per call would.  A call
+    probes up to _BRACKET_BLOCK values while it stays within _CALL_POINTS
+    points (a large batch probes one).  A block whose coefficients fail is
+    probed again one value per call on the rows still open, so failures and
+    their warnings are those of the one-doubling rule.  Raises, naming the
+    first row that never turns, after _MAX_DOUBLINGS (H0 = -inf there: the
+    Hamiltonian is not finite).
     """
     start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
     prev = _h_or_inf(prob, t, xs, ps, np.tile(base, (rows.size, 1)))
     increases = np.zeros(rows.size, dtype=int)
-    values = start + direction * np.ldexp(1.0, np.arange(_MAX_DOUBLINGS))
-    for first in range(0, _MAX_DOUBLINGS, _BRACKET_BLOCK):
-        block = values[first:first + _BRACKET_BLOCK]
-        m = block.size  # value-major: _h_or_inf splits off far overflows together
-        z = np.tile(base, (m * rows.size, 1))
-        z[:, axis] = np.repeat(block, rows.size)
-        cur = _h_or_inf(prob, t, np.tile(xs[rows], (m, 1)), np.tile(ps[rows], (m, 1)),
-                        z).reshape(m, rows.size)
-        before = np.vstack([prev, cur[:-1]])
-        # Non-decrease counts toward the upturn: a flat H_cv (no control
-        # dependence along this axis) attains its infimum anywhere, so any
-        # finite bracket is valid; only a strict decrease resets the run.
-        # Overflow far out (+inf, also after +inf) extends a run that began
-        # with a finite non-decrease, but cannot start one: +inf also stands
-        # for an evaluation that broke down (0·inf), which is no upturn.
-        with np.errstate(invalid="ignore"):  # inf - inf after an overflow
-            rise = np.isfinite(cur) & (cur >= before - 1e-14 * (1.0 + np.abs(before)))
-        stop = np.full(rows.size, -1)
-        for j in range(m):  # the run, value by value; a row keeps its first stop
-            increases = np.where(rise[j] | ((cur[j] == math.inf) & (increases > 0)), increases + 1, 0)
-            stop = np.where((stop < 0) & (increases >= _UPTURN_RUN), j, stop)
-        done = stop >= 0
-        stops[rows[done]] = block[stop[done]]
-        rows, prev, increases = rows[~done], cur[-1, ~done], increases[~done]
+    values, first = start + direction * np.ldexp(1.0, np.arange(_MAX_DOUBLINGS)), 0
+    while first < _MAX_DOUBLINGS:
+        block = values[first:first + min(_BRACKET_BLOCK, max(1, _CALL_POINTS // rows.size))]
+        first += block.size
+        cur, live = None, np.arange(rows.size)  # live: the rows still open within the block
+        if block.size > 1:
+            z = np.tile(base, (block.size * rows.size, 1))
+            z[:, axis] = np.repeat(block, rows.size)
+            with np.errstate(all="ignore"), contextlib.suppress(CoefficientError):
+                cur = _h_cv(prob, t, np.tile(xs[rows], (block.size, 1)),
+                            np.tile(ps[rows], (block.size, 1)), z).reshape(block.size, -1)
+        for j, value in enumerate(block):
+            c = cur[j, live] if cur is not None else _h_or_inf(
+                prob, t, xs[rows[live]], ps[rows[live]],
+                np.tile(np.where(np.arange(base.size) == axis, value, base), (live.size, 1)))
+            # Non-decrease counts toward the upturn: a flat H_cv (no control
+            # dependence along this axis) attains its infimum anywhere, so any
+            # finite bracket is valid; only a strict decrease resets the run.
+            # Overflow far out (+inf, also after +inf) extends a run that began
+            # with a finite non-decrease, but cannot start one: +inf also stands
+            # for an evaluation that broke down (0·inf), which is no upturn.
+            with np.errstate(invalid="ignore"):  # inf - inf after an overflow
+                rise = np.isfinite(c) & (c >= prev - 1e-14 * (1.0 + np.abs(prev)))
+            increases = np.where(rise | ((c == math.inf) & (increases > 0)), increases + 1, 0)
+            done = increases >= _UPTURN_RUN
+            stops[rows[live[done]]] = value
+            live, prev, increases = live[~done], c[~done], increases[~done]
+        rows = rows[live]
         if rows.size == 0:
             return stops
     i = rows[0]
@@ -346,19 +358,18 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
 
 
 def _section(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,
-             axis: int, a: np.ndarray, b: np.ndarray,
-             tol: float = _CONTROL_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """K-point section search along ``axis`` of every row, to absolute width ``tol``.
+             axis: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K-point section search along ``axis`` of every row, to absolute width _CONTROL_STEP.
 
     Returns the (P,) minimizing coordinates and the H_cv values there.  Row
     i searches [a[i], b[i]] with its other coordinates fixed at z[i].  A pass
     evaluates _SECTION_POINTS evenly spaced interior points of each live
     row's bracket in one H_cv call and keeps the two cells around the first
     minimizing point, until the bracket is narrow enough or stops shrinking
-    (where the spacing of floats near z exceeds ``tol``).  The original
-    endpoints compete with the final midpoint, so a minimum attained exactly
-    on the boundary (an active box constraint) is returned exactly rather
-    than displaced by half the final bracket width.
+    (where the spacing of floats near z exceeds the control step).  The
+    original endpoints compete with the final midpoint, so a minimum attained
+    exactly on the boundary (an active box constraint) is returned exactly
+    rather than displaced by half the final bracket width.
     """
     def fn(xl, pl, zl, v):  # H_cv at the (R, m) coordinates v of R rows
         m = v.shape[1]
@@ -367,22 +378,21 @@ def _section(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: 
         return _h_cv(prob, t, np.repeat(xl, m, axis=0), np.repeat(pl, m, axis=0), zs).reshape(v.shape)
 
     a0, b0, a, b = a, b, a.copy(), b.copy()
-    frac = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+    frac = np.arange(_SECTION_POINTS + 2) / (_SECTION_POINTS + 1)  # the ends and the K points
     # The loop works on the live rows only, compacted whenever one finishes;
     # a row's final bracket is written back to a, b as it leaves.
-    rows = np.flatnonzero(b - a > tol)
-    lo, hi, xl, pl, zl = a[rows], b[rows], xs[rows], ps[rows], z[rows]
-    width = hi - lo
+    rows = np.flatnonzero(b - a > _CONTROL_STEP)
+    lo, xl, pl, zl = a[rows], xs[rows], ps[rows], z[rows]
+    width = b[rows] - lo
     while rows.size:
-        pts = np.concatenate([lo[:, None], lo[:, None] + width[:, None] * frac, hi[:, None]], axis=1)
-        best = np.argmin(fn(xl, pl, zl, pts[:, 1:-1]), axis=1)  # pts[:, best + 1] is the minimum
-        lo, hi = np.take_along_axis(pts, best[:, None] + [0, 2], axis=1).T
+        best = np.argmin(fn(xl, pl, zl, lo[:, None] + width[:, None] * frac[1:-1]), axis=1)
+        lo, hi = lo + width * frac[best], lo + width * frac[best + 2]  # the minimum's neighbours
         w = hi - lo
-        keep = (w > tol) & (w < width)  # far out, ulp(z) > tol stalls the bracket
+        keep = (w > _CONTROL_STEP) & (w < width)  # far out, ulp(z) > step stalls the bracket
         width = w
         if not keep.all():
             a[rows], b[rows] = lo, hi
-            rows, lo, hi, width, xl, pl, zl = (v[keep] for v in (rows, lo, hi, width, xl, pl, zl))
+            rows, lo, width, xl, pl, zl = (v[keep] for v in (rows, lo, width, xl, pl, zl))
     candidates = np.column_stack([0.5 * (a + b), a0, b0])
     values = fn(xs, ps, z, candidates)
     pick = np.arange(a.size), np.argmin(values, axis=1)

@@ -1,5 +1,6 @@
 """Closed-form benchmark family: frozen values, guards, and structure."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,21 +10,18 @@ from hjbverify import (
     AdvertisingParams,
     ClosedFormValue,
     Domain,
-    FeedbackPolicy,
-    SimConfig,
     advertising_coefficients,
     advertising_feedback,
     advertising_gradient,
     advertising_solution,
     advertising_value,
-    certify,
     discounted_demo_solution,
     make_advertising_problem,
     make_discounted_demo,
     make_exit_demo,
     minimize,
 )
-from hjbverify import benchmarks
+from hjbverify import _util
 
 # Frozen reference values for eta=0.5, alpha=1, beta=0.5, T=1 at t=0, x=2,
 # cross-checked against an independent high-precision evaluation of the
@@ -92,26 +90,6 @@ class TestCoefficients:
             advertising_coefficients(adv_params, -0.1)
         with pytest.raises(ValueError, match="must lie in"):
             advertising_coefficients(adv_params, 1.1)
-
-    def test_scalar_t_is_evaluated_once_per_euler_step(self, adv_params, adv_problem,
-                                                       adv_solution, monkeypatch):
-        # The feedback policy and the candidate's gradient ask for the same
-        # (params, t) on each step: one evaluation serves both (201 without
-        # the memo for these 100 steps).  A failed call is not remembered.
-        calls = []
-        w = benchmarks._w
-        monkeypatch.setattr(benchmarks, "_w", lambda *a: calls.append(a[1]) or w(*a))
-        benchmarks._coefficients_at.cache_clear()
-        policy = FeedbackPolicy(
-            lambda t, x: advertising_feedback(adv_params, t, x[:, 0]).reshape(-1, 1))
-        certify(adv_problem, adv_solution, policy, 0.0, 2.0, SimConfig(dt=0.01, n_paths=64, seed=5))
-        assert len(calls) == 100
-        bad = AdvertisingParams(eta=0.5, alpha=0.30, beta=0.5, horizon=2.0)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="shorten the horizon"):
-                advertising_coefficients(bad, 0.0)
-        assert advertising_coefficients(adv_params, 0.5) == advertising_coefficients(adv_params, 0.5)
-        assert len(calls) == 103
 
     def test_b_solves_its_linear_ode(self, adv_params):
         # b' = -gamma b with b(T) = -1, so b(t) = -e^{gamma (t-T)}.
@@ -197,12 +175,17 @@ class TestClosedFormCandidates:
         assert sol.gradient_at(0.3, x).tobytes() == np.zeros((n, 1)).tobytes()
 
     @pytest.mark.parametrize("name", ["advertising", "discounted"])
-    def test_a_wider_batch_raises(self, adv_solution, name):
-        # A 1-d closed form once read column 0 of a (P, 2) batch without a word.
+    def test_a_wider_batch_raises(self, adv_solution, name, monkeypatch, caplog):
+        # A 1-d closed form once read column 0 of a (P, 2) batch without a
+        # word.  The error names the batch, and no row-by-row retry is tried
+        # (or logged) first.
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
         sol = adv_solution if name == "advertising" else discounted_demo_solution(0.5, 2.0)
-        for probe in (sol.value_at, sol.gradient_at):
-            with pytest.raises(ValueError, match=r"\(P, 1\) batch of states"):
-                probe(0.3, np.array([[0.25, 0.75], [0.5, 0.9]]))
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            for probe in (sol.value_at, sol.gradient_at):
+                with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+                    probe(0.3, np.array([[0.25, 0.75], [0.5, 0.9]]))
+        assert not caplog.records
 
 
 class TestAdvertisingProblem:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import logging
 import math
 import os
 import shutil
@@ -29,6 +30,7 @@ from hjbverify import (
     advertising_coefficients,
     cli,
 )
+from hjbverify import _util
 
 # Frozen closed-form anchors (same derivation as in test_benchmarks).
 A0 = 0.3003325459344889
@@ -621,13 +623,16 @@ class TestVerifyCommand:
         assert record == {"check": "verification",
                           "message": "truncation tail bound exceeds tolerance"}
 
-    def test_exit_constant_candidate_rejects_a_wider_batch(self):
+    def test_exit_constant_candidate_rejects_a_wider_batch(self, monkeypatch, caplog):
         # The 1-d constant candidate once filled a value per row of any width.
+        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
         source = cli._closed_form_source({"problem": {"kind": "exit_constant", "constant": 2.5}}, None)
         assert source.value_at(0.0, np.array([[0.2], [0.7]])).tolist() == [2.5, 2.5]
-        for probe in (source.value_at, source.gradient_at):
-            with pytest.raises(ValueError, match=r"\(P, 1\) batch of states"):
-                probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
+        with caplog.at_level(logging.WARNING, logger="hjbverify"):
+            for probe in (source.value_at, source.gradient_at):
+                with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+                    probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
+        assert not caplog.records
 
 
 class TestBenchmarkCommand:

@@ -308,15 +308,40 @@ class TestBoxScanCorpus:
     @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if n not in ("k2", "valley", "overflow")))
     def test_one_axis_scan_makes_few_h_cv_calls(self, name, monkeypatch):
         # Rows are spent instead of calls, since each call has a fixed cost:
-        # a section pass evaluates 31 points per row in one call and a
-        # bracket call probes 8 doublings, so a one-axis minimization takes
-        # about a dozen calls.  The overflow class is left out: _h_or_inf
+        # a section pass evaluates 11 points per row in one call and a
+        # bracket call probes up to 8 doublings, so a one-axis minimization
+        # of 64 rows takes 11 to 17 calls (37 to 55 with golden section and
+        # one doubling per call).  The overflow class is left out: _h_or_inf
         # splits its overflowing batches into many calls.
         calls = []
         monkeypatch.setattr(hamiltonian, "_h_cv", lambda *a: calls.append(1) or _h_cv(*a))
         prob, xs, ps, _ = _corpus(name)
         _minimize_batch(prob, _T, xs, ps)
-        assert len(calls) <= 16
+        assert len(calls) <= 18
+
+    @pytest.mark.parametrize("name", ["upper_bounded", "two_sided", "overflow", "valley"])
+    def test_bracket_blocks_make_no_more_calls_than_single_doublings(self, name, monkeypatch):
+        # A block whose coefficients overflow is probed again one doubling
+        # per call on the rows still open, so the overflow class pays one
+        # call per failed block, not a split of the values past the stops.
+        # A call stays within _CALL_POINTS points: a large batch probes one
+        # doubling per call.
+        prob, xs, ps, _ = _corpus(name)
+        U = prob.control_set
+        base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
+        counts = {}
+        for block in (1, hamiltonian._BRACKET_BLOCK):
+            for rows in (1, 10):
+                x, p, points = np.tile(xs, (rows, 1)), np.tile(ps, (rows, 1)), []
+                monkeypatch.setattr(hamiltonian, "_BRACKET_BLOCK", block)
+                monkeypatch.setattr(hamiltonian, "_h_cv", lambda *a: points.append(a[4].shape[0]) or _h_cv(*a))
+                for axis in range(U.dimension):
+                    for bound, direction in ((U.upper, 1.0), (U.lower, -1.0)):
+                        if not np.isfinite(bound[axis]):
+                            hamiltonian._bracket(prob, _T, x, p, base, axis, direction)
+                assert max(points) <= max(hamiltonian._CALL_POINTS, x.shape[0])
+                counts[block, rows] = len(points)
+        assert counts[hamiltonian._BRACKET_BLOCK, 1] <= counts[1, 1]
 
     @pytest.mark.parametrize("name", ["upper_bounded", "two_sided", "overflow", "valley"])
     def test_bracket_stops_equal_the_sequential_rule(self, name):
