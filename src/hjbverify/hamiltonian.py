@@ -306,10 +306,10 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
              base: np.ndarray, axis: int, direction: float) -> np.ndarray:
     """Geometric doubling along one unbounded axis until H_cv turns upward.
 
-    Returns the (P,) stops.  The doubling sequence from ``base`` is shared by
-    all rows; each row stops at its own _UPTURN_RUN-th consecutive
+    Returns the (P,) stops.  The sequence of ``base`` and its doublings is
+    shared by all rows; each row stops at its own _UPTURN_RUN-th consecutive
     non-decrease, read value by value as one doubling per call would.  A call
-    probes up to _BRACKET_BLOCK values while it stays within _CALL_POINTS
+    probes up to _BRACKET_BLOCK doublings while it stays within _CALL_POINTS
     points (a large batch probes one).  A block whose coefficients fail is
     probed again one value per call on the rows still open, so failures and
     their warnings are those of the one-doubling rule.  Raises, naming the
@@ -317,11 +317,11 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     Hamiltonian is not finite).
     """
     start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
-    prev = _h_or_inf(prob, t, xs, ps, np.tile(base, (rows.size, 1)))
-    increases = np.zeros(rows.size, dtype=int)
-    values, first = start + direction * np.ldexp(1.0, np.arange(_MAX_DOUBLINGS)), 0
-    while first < _MAX_DOUBLINGS:
-        block = values[first:first + min(_BRACKET_BLOCK, max(1, _CALL_POINTS // rows.size))]
+    increases, prev, first = np.zeros(rows.size, dtype=int), None, 0
+    values = start + direction * np.concatenate([[0.0], np.ldexp(1.0, np.arange(_MAX_DOUBLINGS))])
+    while first < values.size:
+        size = min(_BRACKET_BLOCK + (prev is None), max(1, _CALL_POINTS // rows.size))
+        block = values[first:first + size]  # the first block may also probe the start
         first += block.size
         cur, live = None, np.arange(rows.size)  # live: the rows still open within the block
         if block.size > 1:
@@ -334,6 +334,9 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
             c = cur[j, live] if cur is not None else _h_or_inf(
                 prob, t, xs[rows[live]], ps[rows[live]],
                 np.tile(np.where(np.arange(base.size) == axis, value, base), (live.size, 1)))
+            if prev is None:  # H_cv at the start only anchors the first comparison
+                prev = c
+                continue
             # Non-decrease counts toward the upturn: a flat H_cv (no control
             # dependence along this axis) attains its infimum anywhere, so any
             # finite bracket is valid; only a strict decrease resets the run.
@@ -346,9 +349,9 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
             done = increases >= _UPTURN_RUN
             stops[rows[live[done]]] = value
             live, prev, increases = live[~done], c[~done], increases[~done]
+            if live.size == 0:
+                return stops
         rows = rows[live]
-        if rows.size == 0:
-            return stops
     i = rows[0]
     raise ValueError(
         f"Hamiltonian is not finite at t={t}, x={xs[i]}, p={ps[i]}: H_cv never "
