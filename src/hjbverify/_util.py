@@ -68,7 +68,7 @@ def probe_batch(x, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
         raise ProbeShapeError(f"a candidate is probed at a (P, {dim or 'n'}) batch of states, "
-                         f"got shape {arr.shape}")
+                              f"got shape {arr.shape}")
     return arr
 
 

@@ -310,14 +310,14 @@ class TestBoxScanCorpus:
         # Rows are spent instead of calls, since each call has a fixed cost:
         # a section pass evaluates 11 points per row in one call and a
         # bracket call probes up to 8 doublings, so a one-axis minimization
-        # of 64 rows takes 11 to 17 calls (37 to 55 with golden section and
+        # of 64 rows takes 11 to 15 calls (37 to 55 with golden section and
         # one doubling per call).  The overflow class is left out: _h_or_inf
         # splits its overflowing batches into many calls.
         calls = []
         monkeypatch.setattr(hamiltonian, "_h_cv", lambda *a: calls.append(1) or _h_cv(*a))
         prob, xs, ps, _ = _corpus(name)
         _minimize_batch(prob, _T, xs, ps)
-        assert len(calls) <= 18
+        assert len(calls) <= 16
 
     @pytest.mark.parametrize("name", ["upper_bounded", "two_sided", "overflow", "valley"])
     def test_bracket_blocks_make_no_more_calls_than_single_doublings(self, name, monkeypatch):
