@@ -29,14 +29,14 @@ rows at the cap logs one WARNING giving their number.  Unbounded axes are
 bracketed by geometric doubling from the finite corner, up to 8 doublings per
 H_cv call (one on a large batch); the upturn of H_cv is checked, never
 assumed, and a missing upturn after 1000 doublings raises (the Hamiltonian is
-not finite there).  The box scan runs in lockstep over all evaluation points:
-each of its steps makes one H_cv call covering every row still active, and
-every row gets bit for bit the result of a scan of that row alone.
+not finite there).  A grid or bracket point whose coefficients overflow reads
++inf within its call.  The box scan runs in lockstep over all evaluation
+points: each of its steps makes one H_cv call covering every row still
+active, and every row gets bit for bit the result of a scan of that row alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -224,17 +224,20 @@ def _fresh(a, P: int) -> bool:
 def _h_or_inf(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs: np.ndarray):
     """:func:`_h_cv` with +inf at the rows whose coefficients fail (overflow far out).
 
-    A batch that raises :class:`CoefficientError` is split in halves until
-    the failing rows stand alone, so every other row keeps its value.
+    One call: a failing coefficient's :class:`CoefficientError` carries its
+    output, which is read but never written into (it may be an argument).
     """
     try:
-        return _h_cv(prob, t, xs, ps, zs)
-    except CoefficientError:
-        if zs.shape[0] == 1:
-            return np.array([math.inf])
-        h = zs.shape[0] // 2
-        return np.concatenate([_h_or_inf(prob, t, xs[:h], ps[:h], zs[:h]),
-                               _h_or_inf(prob, t, xs[h:], ps[h:], zs[h:])])
+        f1, bad = prob.f1(t, xs, zs), False
+    except CoefficientError as exc:
+        f1, bad = exc.values, ~np.isfinite(exc.values).all(axis=1)
+    try:
+        ell = prob.cost_rate(t, xs, zs)
+    except CoefficientError as exc:
+        bad = bad | ~np.isfinite(exc.values)
+        ell = np.where(bad, 0.0, exc.values)  # so that no inf - inf warns below
+    h = np.einsum("pn,pn->p", f1, ps) + ell
+    return h if bad is False else np.where(bad, math.inf, h)
 
 
 def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
@@ -310,11 +313,11 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     shared by all rows; each row stops at its own _UPTURN_RUN-th consecutive
     non-decrease, read value by value as one doubling per call would.  A call
     probes up to _BRACKET_BLOCK doublings while it stays within _CALL_POINTS
-    points (a large batch probes one).  A block whose coefficients fail is
-    probed again one value per call on the rows still open, so failures and
-    their warnings are those of the one-doubling rule.  Raises, naming the
-    first row that never turns, after _MAX_DOUBLINGS (H0 = -inf there: the
-    Hamiltonian is not finite).
+    points (a large batch probes one); a probe whose coefficients fail reads
+    +inf.  Raises, naming the first row that never turns, after
+    _MAX_DOUBLINGS (H0 = -inf there: the Hamiltonian is not finite), and says
+    so when that row's probes only overflowed, which may also mean a doubling
+    stepped past a finite minimum.
     """
     start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
     increases, prev, first = np.zeros(rows.size, dtype=int), None, 0
@@ -323,17 +326,12 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
         size = min(_BRACKET_BLOCK + (prev is None), max(1, _CALL_POINTS // rows.size))
         block = values[first:first + size]  # the first block may also probe the start
         first += block.size
-        cur, live = None, np.arange(rows.size)  # live: the rows still open within the block
-        if block.size > 1:
-            z = np.tile(base, (block.size * rows.size, 1))
-            z[:, axis] = np.repeat(block, rows.size)
-            with np.errstate(all="ignore"), contextlib.suppress(CoefficientError):
-                cur = _h_cv(prob, t, np.tile(xs[rows], (block.size, 1)),
-                            np.tile(ps[rows], (block.size, 1)), z).reshape(block.size, -1)
+        z = np.tile(base, (block.size * rows.size, 1))
+        z[:, axis] = np.repeat(block, rows.size)
+        cur = _h_or_inf(prob, t, np.tile(xs[rows], (block.size, 1)),
+                        np.tile(ps[rows], (block.size, 1)), z).reshape(block.size, -1)
         for j, value in enumerate(block):
-            c = cur[j, live] if cur is not None else _h_or_inf(
-                prob, t, xs[rows[live]], ps[rows[live]],
-                np.tile(np.where(np.arange(base.size) == axis, value, base), (live.size, 1)))
+            c = cur[j]  # cur keeps the columns of the rows still open
             if prev is None:  # H_cv at the start only anchors the first comparison
                 prev = c
                 continue
@@ -347,17 +345,19 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
                 rise = np.isfinite(c) & (c >= prev - 1e-14 * (1.0 + np.abs(prev)))
             increases = np.where(rise | ((c == math.inf) & (increases > 0)), increases + 1, 0)
             done = increases >= _UPTURN_RUN
-            stops[rows[live[done]]] = value
-            live, prev, increases = live[~done], c[~done], increases[~done]
-            if live.size == 0:
+            stops[rows[done]] = value
+            rows, cur, prev, increases = rows[~done], cur[:, ~done], c[~done], increases[~done]
+            if rows.size == 0:
                 return stops
-        rows = rows[live]
-    i = rows[0]
-    raise ValueError(
-        f"Hamiltonian is not finite at t={t}, x={xs[i]}, p={ps[i]}: H_cv never "
-        f"turned upward along the unbounded control axis {axis} ({_MAX_DOUBLINGS} "
-        f"doublings from {start}, direction {direction:+.0f})"
-    )
+    i, where = rows[0], (f"along the unbounded control axis {axis} ({_MAX_DOUBLINGS} "
+                         f"doublings from {start}, direction {direction:+.0f})")
+    if prev[0] == math.inf:  # +inf cannot be told from a breakdown (0·inf), so still raise
+        raise ValueError(
+            f"cannot bracket H0 at t={t}, x={xs[i]}, p={ps[i]}: the probes {where} "
+            f"overflowed before any finite increase, so either the Hamiltonian is not "
+            f"finite there or a doubling stepped past its minimum into overflow")
+    raise ValueError(f"Hamiltonian is not finite at t={t}, x={xs[i]}, p={ps[i]}: "
+                     f"H_cv never turned upward {where}")
 
 
 def _section(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: np.ndarray,

@@ -44,7 +44,11 @@ __all__ = [
 
 
 class CoefficientError(ValueError):
-    """A problem coefficient returned a non-finite or mis-shaped value."""
+    """A problem coefficient returned a non-finite value; ``values`` is its whole output."""
+
+    def __init__(self, message: str, values: np.ndarray):
+        super().__init__(message)
+        self.values = values
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def _require_finite(values: np.ndarray, label: str, t, x, z=None):
     if z is not None:
         zi = np.atleast_2d(z)[min(idx, np.atleast_2d(z).shape[0] - 1)]
         msg += f", z={np.array2string(zi, precision=6)}"
-    raise CoefficientError(msg)
+    raise CoefficientError(msg, values)
 
 
 # ---------------------------------------------------------------------------
