@@ -1,10 +1,11 @@
 """Shared array-shape helpers.
 
-Public toolkit functions accept states and controls either as single points
-(scalar or shape ``(n,)``) or as batches of shape ``(P, n)``.  Internally all
-numerics run on batches; these helpers normalize on the way in and remember
-whether to squeeze on the way out.  Candidate value functions are the
-exception: they are probed at batches only (:func:`probe_batch`).
+One shape rule holds across the toolkit: a batch of P points of dimension n
+is a (P, n) array, and every batched function takes exactly that
+(:func:`probe_batch`); nothing reshapes a flat array into a batch.  A single
+point — a scalar (n = 1 only), an (n,) vector or a (1, n) row — is accepted
+only where the API documents one (:func:`as_point`), and a multi-row input
+there raises instead of being read as its first row.
 """
 
 from __future__ import annotations
@@ -20,30 +21,14 @@ log = logging.getLogger(__name__)
 _FALLBACK_LOGGED: set[str] = set()
 
 
-def as_point_batch(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Normalize ``x`` to shape (P, dim).
-
-    Returns the batch and a flag that is True when the input was a single
-    point (so callers can return scalars/vectors instead of batches).  For
-    one-dimensional quantities a 1-D array of length P > 1 is a batch of P
-    points (a length-1 array stays a single point).
-    """
+def as_point(x, dim: int) -> np.ndarray:
+    """A scalar (dim 1 only), a (dim,) vector or a (1, dim) row as a (1, dim) row;
+    any other shape, a batch of several points included, raises ValueError."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar input for a {dim}-dimensional quantity")
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        if dim == 1 and arr.shape[0] != 1:
-            return arr.reshape(-1, 1), False
-        if arr.shape[0] != dim:
-            raise ValueError(f"expected a point of dimension {dim}, got shape {arr.shape}")
-        return arr.reshape(1, dim), True
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ValueError(f"expected batch shape (P, {dim}), got {arr.shape}")
-        return arr, False
-    raise ValueError(f"expected scalar, ({dim},) or (P, {dim}) input, got shape {arr.shape}")
+    if arr.shape not in ((dim,), (1, dim)) and not (arr.ndim == 0 and dim == 1):
+        raise ValueError(f"expected a single point of dimension {dim} (a scalar for dimension 1, "
+                         f"shape ({dim},) or (1, {dim})), got shape {arr.shape}")
+    return arr.reshape(1, dim)
 
 
 def as_size(value, name: str) -> int:
@@ -55,11 +40,11 @@ def as_size(value, name: str) -> int:
 
 
 class ProbeShapeError(ValueError):
-    """A candidate was probed at something other than a (P, n) batch of states."""
+    """A batched function got something other than a (P, n) batch of points."""
 
 
 def probe_batch(x, dim: int | None = None) -> np.ndarray:
-    """``x`` as the (P, n) float batch of states a candidate is probed at.
+    """``x`` as a (P, n) float batch of points: states, or controls of a control set.
 
     A scalar, a single point, or a batch whose width is not ``dim`` (when
     given) raises :class:`ProbeShapeError` naming the expected shape; nothing
@@ -67,8 +52,7 @@ def probe_batch(x, dim: int | None = None) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
-        raise ProbeShapeError(f"a candidate is probed at a (P, {dim or 'n'}) batch of states, "
-                              f"got shape {arr.shape}")
+        raise ProbeShapeError(f"expected a (P, {dim or 'n'}) batch of points, got shape {arr.shape}")
     return arr
 
 

@@ -319,6 +319,10 @@ def make_discounted_demo(rate: float = 1.0, cost: float = 1.0) -> ControlProblem
 
 def discounted_demo_solution(rate: float = 1.0, cost: float = 1.0) -> ClosedFormValue:
     """The exact value v ≡ cost/rate of the discounted demo, with zero gradient."""
-    v = float(cost) / float(rate)
+    return _constant_solution(float(cost) / float(rate))
+
+
+def _constant_solution(v: float) -> ClosedFormValue:
+    """The 1-d candidate v ≡ v with zero gradient (discounted and constant exit demos)."""
     return ClosedFormValue(value_fn=lambda t, x: np.full(probe_batch(x, 1).shape[0], v),
                            gradient_fn=lambda t, x: np.zeros_like(probe_batch(x, 1)))

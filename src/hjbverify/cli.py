@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from . import benchmarks as bm
 from . import hamiltonian, hjb, sde, verify
-from ._util import probe_batch
 from .problem import (
     DiscountedInfinite,
     Domain,
@@ -195,11 +194,7 @@ def _closed_form_source(cfg: dict, params):
     if kind == "advertising":
         return bm.advertising_solution(params)
     if kind == "exit_constant":
-        c = float(cfg["problem"]["constant"])
-        return verify.ClosedFormValue(
-            value_fn=lambda t, x, _c=c: np.full(probe_batch(x, 1).shape[0], _c),
-            gradient_fn=lambda t, x: np.zeros_like(probe_batch(x, 1)),
-        )
+        return bm._constant_solution(float(cfg["problem"]["constant"]))
     if kind == "discounted_constant":
         return bm.discounted_demo_solution(rate=float(cfg["problem"]["rate"]),
                                            cost=float(cfg["problem"]["cost"]))

@@ -11,6 +11,10 @@ identity integrates along trajectories.  Maximization problems are negated
 internally; the covector ``p`` is always interpreted in the canonical
 orientation (the gradient of the *minimize*-sense value function).
 
+Shapes: :func:`current_value`, :func:`minimize` and :func:`duality_gap` take
+one point each of x, p and z, and several rows raise ValueError.  The batched
+internals call a registered closed form with their (P, n) ``xs`` and ``ps``.
+
 Minimization strategy: a registered closed form wins; otherwise finite control
 sets are enumerated (vectorized over evaluation points) and box sets are
 scanned with a coarse grid of 33 points per axis, then refined by a K-point
@@ -44,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_point_batch
+from ._util import as_point, batch_call, probe_batch
 from .problem import CoefficientError, ControlProblem, canonicalize
 
 __all__ = [
@@ -85,14 +89,13 @@ class HamiltonianEval:
 
 
 def current_value(problem: ControlProblem, t: float, x, p, z) -> float:
-    """H_cv(t, x, p; z) on the canonicalized problem.
+    """H_cv(t, x, p; z) on the canonicalized problem, at one point each of x, p and z.
 
     Raises ValueError when ``z`` is outside the admissible set U.
     """
     prob = canonicalize(problem)
-    xb, _ = as_point_batch(x, prob.dimension)
-    pb, _ = as_point_batch(p, prob.dimension)
-    zb, _ = as_point_batch(z, prob.control_dimension)
+    xb, pb = as_point(x, prob.dimension), as_point(p, prob.dimension)
+    zb = as_point(z, prob.control_dimension)
     if not np.all(prob.control_set.contains(zb)):
         raise ValueError(
             f"control z={np.asarray(z)} lies outside the admissible set U "
@@ -104,30 +107,28 @@ def current_value(problem: ControlProblem, t: float, x, p, z) -> float:
 def minimize(problem: ControlProblem, t: float, x, p) -> HamiltonianEval:
     """Minimize H_cv over U at one point; closed form if registered, else scan.
 
-    ``p`` is the costate in the canonical minimize orientation.  For a
-    maximize-sense problem that is the *negated* gradient of the candidate
-    value function; :func:`feedback_map` applies that flip automatically.
+    ``x``, ``p`` and the ``z`` of ``gap_at(z)`` are single points: a scalar
+    when n = 1, an (n,) vector or a (1, n) row.  ``p`` is the costate in the
+    canonical minimize orientation.  For a maximize-sense problem that is the
+    *negated* gradient of the candidate value function; :func:`feedback_map`
+    applies that flip automatically.
     """
     prob = canonicalize(problem)
-    xb, _ = as_point_batch(x, prob.dimension)
-    pb, _ = as_point_batch(p, prob.dimension)
+    xb, pb = as_point(x, prob.dimension), as_point(p, prob.dimension)
     values, argmins = _minimize_batch(prob, t, xb, pb)
     method = "scan" if prob.closed_form_hamiltonian is None else "closed_form"
-    value = float(values[0])
-    zmin = argmins[0]
+    value, zmin = float(values[0]), argmins[0]
     zmin_out = float(zmin[0]) if prob.control_dimension == 1 else zmin.copy()
-    tol_gap = float(_gap_resolution(value))
 
     def gap_at(z, _prob=prob, _t=t, _x=xb, _p=pb, _v=value):
-        zb, _ = as_point_batch(z, _prob.control_dimension)
-        return float(_h_cv(_prob, _t, _x, _p, zb)[0]) - _v
+        return float(_h_cv(_prob, _t, _x, _p, as_point(z, _prob.control_dimension))[0]) - _v
 
     return HamiltonianEval(value=value, argmin=zmin_out, method=method,
-                           gap_at=gap_at, tol_gap=tol_gap)
+                           gap_at=gap_at, tol_gap=float(_gap_resolution(value)))
 
 
 def duality_gap(problem: ControlProblem, t: float, x, p, z) -> float:
-    """Clamped pointwise gap H_cv(t,x,p;z) − H0(t,x,p) ≥ 0.
+    """Clamped pointwise gap H_cv(t,x,p;z) − H0(t,x,p) ≥ 0 at one point each of x, p and z.
 
     Exactly 0.0 when z attains the minimum within ``tol_gap``; raw gaps below
     that resolution are indistinguishable from optimal and must not pollute
@@ -140,12 +141,13 @@ def duality_gap(problem: ControlProblem, t: float, x, p, z) -> float:
 def feedback_map(problem: ControlProblem, gradient_field) -> Callable:
     """Build the feedback (t, x) -> argmin_z H_cv(t, x, grad v(t, x); z).
 
-    ``gradient_field`` is either a callable ``(t, x) -> covector`` for the
-    problem's *declared* sense (the gradient of the candidate value function
-    as the user knows it) or an object with a ``gradient_at`` method (a solved
-    field).  For maximize-sense problems the sign flip to the canonical
-    orientation happens here.  The returned callable accepts single states or
-    (P, n) batches.
+    ``gradient_field`` is a callable ``(t, x) -> (P, n) covectors`` (called
+    via :func:`~hjbverify._util.batch_call`) for the problem's *declared*
+    sense, or an object with a ``gradient_at`` method (a solved field).  The
+    canonical sign flip happens here.  The returned callable maps a (P, n)
+    batch of states to (P, k) controls, and one state (a scalar when n = 1
+    or an (n,) vector) to one control, a float when k = 1; a flat array of
+    several states raises ValueError.
     """
     prob = canonicalize(problem)
     flip = -1.0 if problem.sense == "maximize" else 1.0
@@ -153,12 +155,13 @@ def feedback_map(problem: ControlProblem, gradient_field) -> Callable:
     n, k = prob.dimension, prob.control_dimension
 
     def feedback(t, x):
-        xb, single = as_point_batch(x, n)
-        pb = flip * np.asarray(grad(t, xb), dtype=float).reshape(xb.shape[0], n)
+        batch = np.ndim(x) == 2
+        xb = probe_batch(x, n) if batch else as_point(x, n)
+        pb = flip * batch_call(grad, t, xb, expect_shape=xb.shape, label="gradient_field")
         _, argmins = _minimize_batch(prob, t, xb, pb)
-        if single:
-            return float(argmins[0, 0]) if k == 1 else argmins[0]
-        return argmins
+        if batch:
+            return argmins
+        return float(argmins[0, 0]) if k == 1 else argmins[0]
 
     return feedback
 
@@ -179,23 +182,19 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
     """Minimize H_cv at each row of (xs, ps); returns (values, argmins).
 
     ``values`` has shape (P,), ``argmins`` (P, k).  The problem must already
-    be canonical.
+    be canonical.  A closed form gets (xs, ps) as they are and must return
+    the shapes :class:`~hjbverify.problem.ControlProblem` documents.
     """
     P = xs.shape[0]
     k = prob.control_dimension
     cf = prob.closed_form_hamiltonian
     if cf is not None:
-        if prob.dimension == 1 and k == 1:
-            vals, args = cf(t, xs[:, 0], ps[:, 0])
-            if not (_fresh(vals, P) and _fresh(args, P) and vals is not args):
-                vals = np.broadcast_to(np.asarray(vals, dtype=float), (P,)).copy()
-                args = np.broadcast_to(np.asarray(args, dtype=float), (P,)).copy()
-            args = args.reshape(P, 1)
-        else:
-            vals, args = cf(t, xs, ps)
-            vals = np.asarray(vals, dtype=float).reshape(P)
-            args = np.asarray(args, dtype=float).reshape(P, k)
-        return vals, args
+        vals, args = cf(t, xs, ps)
+        vals, args = np.asarray(vals, dtype=float), np.asarray(args, dtype=float)
+        if vals.shape not in ((P,), (P, 1)) or args.shape not in ((P, k), (P,) if k == 1 else (P, k)):
+            raise ValueError(f"closed_form_hamiltonian returned shapes {vals.shape} and {args.shape} "
+                             f"at x and p of shape {xs.shape}: expected ({P},) or ({P}, 1) and ({P}, {k})")
+        return vals.reshape(P), args.reshape(P, k)
 
     U = prob.control_set
     if U.kind == "finite":
@@ -213,12 +212,6 @@ def _minimize_batch(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarr
         return vmin, pts[first]
 
     return _scan_box(prob, t, xs, ps)
-
-
-def _fresh(a, P: int) -> bool:
-    """True for a (P,) float array that owns its data: a closed form's own
-    result, which needs no defensive copy (a view may alias an input)."""
-    return type(a) is np.ndarray and a.shape == (P,) and a.dtype == float and a.flags.owndata
 
 
 def _h_or_inf(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, zs: np.ndarray):

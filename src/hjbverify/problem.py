@@ -18,6 +18,8 @@ Coefficients are evaluated in batches: for ``P`` states, ``x`` has shape
 ``(P, n, m)``, ``running_cost(t, x, z)`` returns ``(P,)``, terminal/boundary
 costs return ``(P,)``.  Plain broadcasting code (``lambda t, x: -alpha * x``)
 satisfies this; scalar-only callables are tolerated via a slow fallback.
+A closed-form Hamiltonian (see :class:`ControlProblem`) and the control-set and
+domain methods take such batches too; no flat array is read as a batch.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_point_batch, batch_call
+from ._util import batch_call, probe_batch
 
 __all__ = [
     "ControlSet",
@@ -54,6 +56,8 @@ class CoefficientError(ValueError):
 # ---------------------------------------------------------------------------
 # Control sets
 # ---------------------------------------------------------------------------
+
+_CONTAINS_TOL = 1e-12  # membership tolerance of ControlSet.contains: absorbs roundoff
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,6 @@ class ControlSet:
             object.__setattr__(self, "upper", hi)
         else:
             pts = np.asarray(self.points, dtype=float)
-            if pts.ndim == 1:
-                pts = pts.reshape(-1, 1)
             if pts.ndim != 2 or pts.shape[0] == 0:
                 raise ValueError("finite control set needs a nonempty (npts, k) array")
             if not np.all(np.isfinite(pts)):
@@ -116,27 +118,23 @@ class ControlSet:
             return self.lower.shape[0]
         return self.points.shape[1]
 
-    def contains(self, z, tol: float = 1e-12) -> np.ndarray | bool:
-        """Membership test, batched; tolerance absorbs roundoff."""
-        zb, single = as_point_batch(z, self.dimension)
+    def contains(self, z) -> np.ndarray:
+        """(P,) membership of a (P, k) batch of controls, within _CONTAINS_TOL."""
+        zb, tol = probe_batch(z, self.dimension), _CONTAINS_TOL
         if self.kind == "box":
-            ok = ((zb >= self.lower - tol) & (zb <= self.upper + tol)).all(axis=1)
-        elif self.points.shape[0] == 1:
-            ok = ((zb - self.points[0]) ** 2).sum(axis=1) <= tol * tol
-        else:
-            d2 = np.min(np.sum((zb[:, None, :] - self.points[None]) ** 2, axis=2), axis=1)
-            ok = d2 <= tol * tol
-        return bool(ok[0]) if single else ok
+            return ((zb >= self.lower - tol) & (zb <= self.upper + tol)).all(axis=1)
+        if self.points.shape[0] == 1:
+            return ((zb - self.points[0]) ** 2).sum(axis=1) <= tol * tol
+        d2 = np.min(np.sum((zb[:, None, :] - self.points[None]) ** 2, axis=2), axis=1)
+        return d2 <= tol * tol
 
-    def project(self, z):
-        """Nearest admissible control (componentwise clip for boxes)."""
-        zb, single = as_point_batch(z, self.dimension)
+    def project(self, z) -> np.ndarray:
+        """(P, k) nearest admissible controls of a (P, k) batch (clipped for boxes)."""
+        zb = probe_batch(z, self.dimension)
         if self.kind == "box":
-            out = np.clip(zb, self.lower, self.upper)
-        else:
-            d2 = np.sum((zb[:, None, :] - self.points[None]) ** 2, axis=2)
-            out = self.points[np.argmin(d2, axis=1)]
-        return out[0] if single else out
+            return np.clip(zb, self.lower, self.upper)
+        d2 = np.sum((zb[:, None, :] - self.points[None]) ** 2, axis=2)
+        return self.points[np.argmin(d2, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +177,21 @@ class Domain:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
-    def signed_distance(self, x):
-        """max over axes of per-axis signed distance; negative inside."""
-        xb, single = as_point_batch(x, self.dimension)
-        per_axis = np.maximum(self.lower - xb, xb - self.upper)
-        sd = np.max(per_axis, axis=1)
-        return float(sd[0]) if single else sd
+    def signed_distance(self, x) -> np.ndarray:
+        """(P,) max over axes of per-axis signed distance; negative inside."""
+        xb = probe_batch(x, self.dimension)
+        return np.max(np.maximum(self.lower - xb, xb - self.upper), axis=1)
 
-    def contains(self, x):
-        sd = self.signed_distance(x)
-        return sd < 0.0
+    def contains(self, x) -> np.ndarray:
+        """(P,) membership of a (P, n) batch in the open domain."""
+        return self.signed_distance(x) < 0.0
 
-    def project_to_boundary(self, x):
-        """Closest boundary point (componentwise clip, then push the nearest
-        axis onto its face for interior points)."""
-        xb, single = as_point_batch(x, self.dimension)
+    def project_to_boundary(self, x) -> np.ndarray:
+        """(P, n) closest boundary points (componentwise clip, then push the
+        nearest axis onto its face for interior points)."""
+        xb = probe_batch(x, self.dimension)
         out = np.clip(xb, self.lower, self.upper)
-        inside = np.max(np.maximum(self.lower - xb, xb - self.upper), axis=1) < 0
+        inside = self.contains(xb)
         if np.any(inside):
             sub = out[inside]
             to_low = sub - self.lower
@@ -205,7 +201,7 @@ class Domain:
             use_low = to_low[rows, axis] <= to_high[rows, axis]
             sub[rows, axis] = np.where(use_low, self.lower[axis], self.upper[axis])
             out[inside] = sub
-        return out[0] if single else out
+        return out
 
     def boundary_points(self) -> np.ndarray:
         """Declared boundary sample points: interval endpoints / box corners."""
@@ -262,9 +258,10 @@ class ControlProblem:
     * ``boundary_cost`` ψ(t, x): required when ``domain`` is set (exit
       problems); must agree with the terminal cost on ∂O at time T.
     * ``closed_form_hamiltonian``: callable ``(t, x, p) -> (value, argmin)``
-      in canonical (minimize) orientation, vectorized over ``p``; when set,
-      the Hamiltonian minimizer and the PDE solvers use it instead of the
-      numerical scan.
+      in canonical (minimize) orientation; when set, the Hamiltonian
+      minimizer and the PDE solvers use it instead of the numerical scan.
+      ``x`` and ``p`` arrive as (P, n) arrays; the value must be (P,) or
+      (P, 1) and the argmin (P, k), or (P,) when k = 1 (else ValueError).
     * ``kink_points``: states where the value function is known/suspected to
       lose C² regularity (1-d); residual reports exclude a neighborhood and
       gradient diagnostics measure the blow-up there.
@@ -375,13 +372,10 @@ class ControlProblem:
 def _require_finite(values: np.ndarray, label: str, t, x, z=None):
     if np.isfinite(values).all():  # the method skips np.all's Python-level wrapper
         return
-    bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
-    idx = int(bad[0][0]) if bad.size else 0
-    xi = np.atleast_2d(x)[min(idx, np.atleast_2d(x).shape[0] - 1)]
-    msg = f"{label} returned a non-finite value at t={t}, x={np.array2string(xi, precision=6)}"
+    i = np.argwhere(~np.isfinite(values))[0][0]  # the first failing row of the (P, n) batch
+    msg = f"{label} returned a non-finite value at t={t}, x={np.array2string(x[i], precision=6)}"
     if z is not None:
-        zi = np.atleast_2d(z)[min(idx, np.atleast_2d(z).shape[0] - 1)]
-        msg += f", z={np.array2string(zi, precision=6)}"
+        msg += f", z={np.array2string(z[i], precision=6)}"
     raise CoefficientError(msg, values)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import ndtri
 
-from ._util import as_point_batch, as_size, batch_call
+from ._util import as_point, as_size, batch_call
 from .problem import ControlProblem, DiscountedInfinite, Domain, FiniteHorizon
 
 __all__ = [
@@ -194,10 +194,8 @@ class OpenLoopPolicy:
     def __init__(self, times, controls):
         self.times = np.asarray(times, dtype=float)
         ctrl = np.asarray(controls, dtype=float)
-        if ctrl.ndim == 1:
-            ctrl = ctrl.reshape(-1, 1)
-        if self.times.ndim != 1 or ctrl.shape[0] != self.times.shape[0]:
-            raise ValueError("times and controls must have matching leading length")
+        if self.times.ndim != 1 or ctrl.ndim != 2 or ctrl.shape[0] != self.times.shape[0]:
+            raise ValueError("controls must be a (len(times), k) array, one row per time")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("open-loop times must be strictly increasing")
         self.controls = ctrl
@@ -393,6 +391,14 @@ def simulate_chunks(
         lo = hi
 
 
+def _start_point(x0, n: int) -> np.ndarray:
+    """``x0`` as a (1, n) row; anything but a single point raises, naming x0."""
+    try:
+        return as_point(x0, n)
+    except ValueError as exc:
+        raise ValueError(f"x0 must be a single starting point: {exc}") from None
+
+
 def _end_time(problem: ControlProblem, until: float | None) -> float:
     """The end time of a run: T for a finite horizon, which rejects ``until``;
     the truncation time ``until`` for a discounted one, which requires it."""
@@ -442,12 +448,10 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
     P = hi - lo
     n, m, k = problem.dimension, problem.noise_dimension, problem.control_dimension
 
-    x_start, _ = as_point_batch(x0, n)
-    if x_start.shape[0] != 1:
-        raise ValueError("x0 must be a single starting point")
+    x_start = _start_point(x0, n)
     domain = problem.domain
     if domain is not None:
-        if not (domain.signed_distance(x_start[0]) < 0.0):
+        if not (domain.signed_distance(x_start)[0] < 0.0):
             raise ValueError(f"initial state {x_start[0]} is not inside the domain")
         if config.exit_rule == "brownian_bridge" and n != 1:
             raise ValueError("the brownian_bridge exit rule is only defined for 1-d domains")

@@ -38,10 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_point_batch, batch_call, probe_batch
+from ._util import batch_call, probe_batch
 from .hamiltonian import _clamped_gap, _minimize_batch
 from .problem import ControlProblem, DiscountedInfinite, canonicalize
-from .sde import PathBatch, SimConfig, _end_time, simulate_chunks
+from .sde import PathBatch, SimConfig, _end_time, _start_point, simulate_chunks
 
 __all__ = [
     "CostEstimate",
@@ -57,7 +57,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 4096
+_CHUNK = 4096                  # paths per streamed chunk of estimate_cost and certify
 _MAX_DISCARD_FRACTION = 1e-3   # diverged-path budget before erroring out
 _MAX_ESCAPE_FRACTION = 1e-3    # grid-escape budget for field-backed candidates
 
@@ -294,7 +294,6 @@ def _monte_carlo(
     x0,
     sim_config: SimConfig,
     until: float | None,
-    chunk_size: int,
     c1: float = 0.0,
     c2: float = 0.0,
 ) -> tuple[_ChunkTerms, float, float]:
@@ -317,7 +316,7 @@ def _monte_carlo(
 
     chunks: list[_ChunkTerms] = []
     for batch in simulate_chunks(problem, policy, t0, x0, sim_config, until=until,
-                                 chunk_size=chunk_size, integrand=integrand):
+                                 chunk_size=_CHUNK, integrand=integrand):
         chunks.append(_chunk_terms(prob, batch, source, flip, rate))
         dt = batch.dt
     run = _ChunkTerms(
@@ -365,7 +364,6 @@ def estimate_cost(
     x0,
     sim_config: SimConfig,
     until: float | None = None,
-    chunk_size: int = _CHUNK,
 ) -> CostEstimate:
     """Monte Carlo estimate of the cost functional J(t0, x0; policy).
 
@@ -380,7 +378,7 @@ def estimate_cost(
     Maximize-sense problems report the original-sign value.  Diverged paths
     are discarded and counted; a discarded fraction above 0.1% raises.
     """
-    run, _, _ = _monte_carlo(problem, None, policy, t0, x0, sim_config, until, chunk_size)
+    run, _, _ = _monte_carlo(problem, None, policy, t0, x0, sim_config, until)
     return _estimate(run.cost, run.n_discarded, sign=_orientation(problem)[0])
 
 
@@ -403,7 +401,6 @@ def certify(
     tolerance: float | None = None,
     necessity_scan: bool = False,
     ladder=None,
-    chunk_size: int = _CHUNK,
 ) -> Certificate:
     """Check J = v + E∫ gap ds on common random numbers and certify the policy.
 
@@ -448,11 +445,9 @@ def certify(
                                  and grid.t_final >= end - 1e-12 * (1.0 + abs(end))):
         raise ValueError(f"the candidate field's time grid [{grid.t0}, {grid.t_final}] "
                          f"does not cover the run [{t0}, {end}]")
-    xb, _ = as_point_batch(x0, problem.dimension)
-    v_orig = float(source.value_at(t0, xb)[0])
+    v_orig = float(source.value_at(t0, _start_point(x0, problem.dimension))[0])
 
-    run, dx, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, chunk_size,
-                               c1, c2)
+    run, dx, dt = _monte_carlo(problem, source, policy, t0, x0, sim_config, until, c1, c2)
     allowance = c1 * dx + c2 * math.sqrt(dt)
     notes: list[str] = []
     if run.n_escaped:

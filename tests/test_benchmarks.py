@@ -183,7 +183,7 @@ class TestClosedFormCandidates:
         sol = adv_solution if name == "advertising" else discounted_demo_solution(0.5, 2.0)
         with caplog.at_level(logging.WARNING, logger="hjbverify"):
             for probe in (sol.value_at, sol.gradient_at):
-                with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+                with pytest.raises(ValueError, match=r"\(P, 1\) batch of points, got shape \(2, 2\)"):
                     probe(0.3, np.array([[0.25, 0.75], [0.5, 0.9]]))
         assert not caplog.records
 

@@ -630,7 +630,7 @@ class TestVerifyCommand:
         assert source.value_at(0.0, np.array([[0.2], [0.7]])).tolist() == [2.5, 2.5]
         with caplog.at_level(logging.WARNING, logger="hjbverify"):
             for probe in (source.value_at, source.gradient_at):
-                with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+                with pytest.raises(ValueError, match=r"\(P, 1\) batch of points, got shape \(2, 2\)"):
                     probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
         assert not caplog.records
 

@@ -22,7 +22,7 @@ from hjbverify import (
     make_exit_demo,
     minimize,
 )
-from hjbverify import hamiltonian
+from hjbverify import canonicalize, hamiltonian
 from hjbverify.hamiltonian import _h_cv, _minimize_batch
 
 
@@ -163,6 +163,119 @@ class TestFeedbackMap:
     def test_plain_gradient_callable_accepted(self, exit_constant_problem):
         fb = feedback_map(exit_constant_problem, lambda t, x: np.zeros_like(x))
         assert fb(0.0, 0.5) == 0.0
+
+    def test_a_transposed_gradient_is_not_reshaped_into_wrong_costates(self):
+        # A (n, P) gradient of the right size was once reshaped to (P, n),
+        # pairing each state with another state's costate.
+        prob = ControlProblem(
+            dimension=2, noise_dimension=2,
+            horizon=FiniteHorizon(1.0, lambda x: np.zeros(x.shape[0])),
+            drift_uncontrolled=lambda t, x: np.zeros_like(x),
+            drift_controlled=lambda t, x, z: z,
+            diffusion=lambda t, x: np.tile(np.eye(2), (x.shape[0], 1, 1)),
+            running_cost=lambda t, x, z: np.einsum("pk,pk->p", z, z),
+            control_set=ControlSet.box([-np.inf, -np.inf], [np.inf, np.inf]),
+            closed_form_hamiltonian=lambda t, x, p: (-0.25 * np.einsum("pn,pn->p", p, p), -0.5 * p))
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        got = feedback_map(prob, lambda t, x: np.asarray(2.0 * x).T)(0.0, x)
+        assert np.array_equal(got, -x)
+
+    def test_one_state_and_batches(self, adv_problem, adv_solution):
+        fb = feedback_map(adv_problem, adv_solution)
+        batch = fb(0.3, np.array([[2.0]]))
+        assert batch.shape == (1, 1)
+        assert fb(0.3, np.array([2.0])) == fb(0.3, 2.0) == batch[0, 0]
+        # A flat array of several states is neither one state nor a batch.
+        with pytest.raises(ValueError, match=r"single point of dimension 1.*got shape \(3,\)"):
+            fb(0.3, np.array([1.0, 2.0, 3.0]))
+
+
+class TestSinglePointShapes:
+    """The single-point functions take one point each; several rows raise."""
+
+    def test_minimize_rejects_three_rows(self, adv_problem):
+        # Three 1-d rows were once read as a batch and row 0's H0 returned.
+        with pytest.raises(ValueError, match=r"single point of dimension 1.*got shape \(3,\)"):
+            minimize(adv_problem, 0.5, np.array([0.1, 0.2, 0.3]), np.array([-1.0, -2.0, -3.0]))
+
+    def test_minimize_rejects_a_flat_costate_batch(self, adv_problem):
+        with pytest.raises(ValueError, match=r"single point of dimension 1.*got shape \(2,\)"):
+            minimize(adv_problem, 0.5, 0.1, np.array([-1.0, -2.0]))
+
+    def test_current_value_and_duality_gap_reject_two_rows(self, adv_problem):
+        two = np.array([[1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"single point of dimension 1.*got shape \(2, 1\)"):
+            current_value(adv_problem, 0.0, two, -1.5, 1.0)
+        with pytest.raises(ValueError, match=r"single point of dimension 1.*got shape \(2,\)"):
+            duality_gap(adv_problem, 0.0, np.array([1.0, 2.0]), np.array([-2.0, -3.0]), 5.0)
+
+    def test_gap_at_rejects_two_controls(self, adv_problem):
+        ev = minimize(adv_problem, 0.0, 1.0, -2.0)
+        with pytest.raises(ValueError, match=r"single point of dimension 1"):
+            ev.gap_at(np.array([1.0, 5.0]))
+
+    def test_every_single_point_form_gives_the_same_result(self, adv_problem):
+        for x, p in ((1.0, -3.0), (np.array([1.0]), np.array([-3.0])),
+                     (np.array([[1.0]]), np.array([[-3.0]]))):
+            ev = minimize(adv_problem, 0.0, x, p)
+            assert (ev.value, ev.argmin) == (-4.0, 4.0)
+            assert current_value(adv_problem, 0.0, x, p, np.array([4.0])) == ev.value
+
+    def test_a_scalar_for_a_two_dimensional_point_raises(self):
+        prob = _linear_drift_problem(ControlSet.box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"single point of dimension 2.*got shape \(\)"):
+            current_value(prob, 0.0, 0.0, 1.0, 0.5)
+
+
+class TestClosedFormContract:
+    """A closed form gets the (P, n) xs and ps and returns documented shapes."""
+
+    def _recording(self, problem, seen, returns=None):
+        def hamiltonian(t, x, p):
+            seen.append((x.shape, p.shape))
+            return returns(x, p) if returns else problem.closed_form_hamiltonian(t, x, p)
+        return dataclasses.replace(problem, closed_form_hamiltonian=hamiltonian)
+
+    def test_a_one_dimensional_closed_form_gets_column_batches(self, adv_problem):
+        seen = []
+        prob = self._recording(canonicalize(adv_problem), seen)
+        xs, ps = np.linspace(0.1, 1.0, 5)[:, None], np.linspace(-3.0, 1.0, 5)[:, None]
+        values, argmins = _minimize_batch(prob, 0.2, xs, ps)
+        assert seen == [((5, 1), (5, 1))]
+        assert values.shape == (5,) and argmins.shape == (5, 1)
+        m = np.maximum(-ps[:, 0], 0.0) / 1.5
+        np.testing.assert_allclose(values, -0.5 * m**3, rtol=1e-14)
+        np.testing.assert_allclose(argmins[:, 0], m**2, rtol=1e-14)
+
+    @pytest.mark.parametrize("returns", [
+        lambda x, p: (x[:, 0], p[:, 0]),             # (P,) and (P,) for k = 1
+        lambda x, p: (x, p),                         # (P, 1) and (P, 1)
+    ], ids=["flat", "column"])
+    def test_documented_shapes_are_taken(self, adv_problem, returns):
+        prob = self._recording(canonicalize(adv_problem), [], returns)
+        xs, ps = np.array([[1.0], [2.0], [3.0]]), np.array([[4.0], [5.0], [6.0]])
+        values, argmins = _minimize_batch(prob, 0.0, xs, ps)
+        assert np.array_equal(values, [1.0, 2.0, 3.0]) and np.array_equal(argmins, ps)
+
+    @pytest.mark.parametrize("returns, shapes", [
+        (lambda x, p: (0.0, 0.0), r"\(\) and \(\)"),  # a scalar, once broadcast silently
+        (lambda x, p: (x[:1, 0], p[:, 0]), r"\(1,\) and \(3,\)"),
+        (lambda x, p: (x[:, 0], p.T), r"\(3,\) and \(1, 3\)"),
+    ], ids=["scalar", "one_row", "transposed"])
+    def test_another_shape_raises_naming_both(self, adv_problem, returns, shapes):
+        prob = self._recording(canonicalize(adv_problem), [], returns)
+        xs = np.array([[1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match=r"closed_form_hamiltonian returned shapes " + shapes):
+            _minimize_batch(prob, 0.0, xs, -xs)
+
+    def test_a_two_dimensional_closed_form_of_the_wrong_size_raises(self):
+        # It once failed with a bare reshape error.
+        prob = _linear_drift_problem(ControlSet.box([-1.0, -1.0], [1.0, 1.0]))
+        prob = dataclasses.replace(prob, closed_form_hamiltonian=lambda t, x, p: (p[:, 0], p[:, 0]))
+        xs = np.zeros((4, 1))
+        with pytest.raises(ValueError, match=r"shapes \(4,\) and \(4,\) at x and p of shape "
+                                             r"\(4, 1\): expected \(4,\) or \(4, 1\) and \(4, 2\)"):
+            _minimize_batch(prob, 0.0, xs, xs + 1.0)
 
 
 # ---------------------------------------------------------------------------

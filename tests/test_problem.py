@@ -46,18 +46,27 @@ class TestControlSet:
             ControlSet.finite(np.empty((0, 1)))
         with pytest.raises(ValueError, match="finite"):
             ControlSet.finite([[np.inf]])
+        # A flat list is not read as a column of 1-d points: it raises.
+        with pytest.raises(ValueError, match=r"nonempty \(npts, k\) array"):
+            ControlSet.finite([0.0, 1.0])
 
     def test_box_contains_and_project(self):
         U = ControlSet.box([0.0], [2.0])
-        assert U.contains(1.0) and U.contains(0.0) and U.contains(2.0)
-        assert not U.contains(-0.5)
-        assert U.project(3.0)[0] == 2.0
-        assert U.project(-1.0)[0] == 0.0
+        assert U.contains(np.array([[1.0], [0.0], [2.0], [-0.5]])).tolist() == [True, True, True, False]
+        assert np.array_equal(U.project(np.array([[3.0], [-1.0]])), [[2.0], [0.0]])
 
     def test_finite_contains_and_project(self):
         U = ControlSet.finite([[0.0], [1.0], [-1.0]])
-        assert U.contains(1.0) and not U.contains(0.5)
-        assert U.project(0.7)[0] == 1.0
+        assert U.contains(np.array([[1.0], [0.5]])).tolist() == [True, False]
+        assert np.array_equal(U.project(np.array([[0.7]])), [[1.0]])
+
+    @pytest.mark.parametrize("z", [1.0, np.array([1.0]), np.array([1.0, 0.5]), np.ones((2, 2))])
+    def test_contains_and_project_take_batches_only(self, z):
+        # A flat array of controls is not read as a batch: it raises.
+        U = ControlSet.box([0.0], [2.0])
+        for method in (U.contains, U.project):
+            with pytest.raises(ValueError, match=r"\(P, 1\) batch of points"):
+                method(z)
 
     def test_finite_points_sorted_deterministically(self):
         U = ControlSet.finite([[2.0], [-1.0], [0.5]])
@@ -65,22 +74,31 @@ class TestControlSet:
 
     def test_unbounded_box_allowed(self):
         U = ControlSet.box([0.0], [np.inf])
-        assert U.contains(1e12) and not U.contains(-1e-6)
+        assert U.contains(np.array([[1e12], [-1e-6]])).tolist() == [True, False]
 
 
 class TestDomain:
     def test_signed_distance_signs(self):
         O = Domain.interval(0.0, 1.0)
         centroid = 0.5 * (O.lower + O.upper)
-        assert O.signed_distance(centroid) < 0.0
-        for pt in O.boundary_points():
-            assert abs(O.signed_distance(pt)) <= 1e-12
-        assert O.signed_distance(1.5) > 0.0
+        assert O.signed_distance(centroid[None])[0] < 0.0
+        assert np.all(np.abs(O.signed_distance(O.boundary_points())) <= 1e-12)
+        assert O.signed_distance(np.array([[1.5]]))[0] > 0.0
+        assert O.contains(np.array([[0.5], [0.0], [1.5]])).tolist() == [True, False, False]
 
     def test_project_to_boundary(self):
         O = Domain.interval(0.0, 1.0)
-        assert O.project_to_boundary(1.7)[0] == 1.0
-        assert O.project_to_boundary(0.4)[0] in (0.0, 1.0)
+        out = O.project_to_boundary(np.array([[1.7], [0.4]]))
+        assert out.shape == (2, 1)
+        assert out[0, 0] == 1.0 and out[1, 0] in (0.0, 1.0)
+
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5]), np.array([0.2, 0.5, 0.8])])
+    def test_state_methods_take_batches_only(self, x):
+        # A scalar or flat array is not read as one point or a batch: it raises.
+        O = Domain.interval(0.0, 1.0)
+        for method in (O.signed_distance, O.contains, O.project_to_boundary):
+            with pytest.raises(ValueError, match=r"\(P, 1\) batch of points"):
+                method(x)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

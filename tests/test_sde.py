@@ -231,6 +231,16 @@ class TestEulerRecurrence:
         assert np.all(batch.controls[:, :10, 0] == 1.0)
         assert np.all(batch.controls[:, 10:, 0] == 2.0)
 
+    def test_open_loop_controls_need_one_row_per_time(self):
+        with pytest.raises(ValueError, match=r"\(len\(times\), k\) array"):
+            OpenLoopPolicy(times=[0.0, 0.5], controls=[1.0, 2.0])
+
+    @pytest.mark.parametrize("x0", [[0.1, 0.2], [[0.1], [0.2]], np.zeros((1, 1, 1))])
+    def test_x0_must_be_one_starting_point(self, adv_problem, x0):
+        with pytest.raises(ValueError, match=r"x0 must be a single starting point: "
+                                             r"expected a single point of dimension 1"):
+            simulate(adv_problem, ZERO, 0.0, x0, SimConfig(dt=0.1, n_paths=2, seed=0))
+
 
 class TestFeedbackPolicy:
     def test_scalar_only_map_falls_back_with_one_warning(self, monkeypatch, caplog):
@@ -435,7 +445,7 @@ class TestExitDetection:
             assert step == batch.exit_step[p]
             assert batch.times[step] == batch.exit_time[p]
             assert np.array_equal(where[step - 1], batch.exit_state[p])
-            bridge_fired += bool(domain.contains(x[step]))
+            bridge_fired += bool(domain.contains(x[step:step + 1])[0])
         assert np.sum(batch.exited) > batch.n_paths // 2
         assert (bridge_fired > 0) == bridge
 

@@ -34,7 +34,7 @@ from hjbverify import (
     simulate,
     solve_exit,
 )
-from hjbverify import sde
+from hjbverify import sde, verify
 from hjbverify.hamiltonian import _clamped_gap, _minimize_batch
 from hjbverify.problem import DiscountedInfinite, canonicalize
 
@@ -119,11 +119,21 @@ class TestEstimateCost:
             with pytest.raises(RuntimeError, match="decrease dt"):
                 estimate()
 
+    def test_x0_must_be_one_starting_point(self, adv_problem, adv_solution):
+        # certify probes the candidate at x0 before it simulates: both name x0.
+        cfg = SimConfig(dt=0.1, n_paths=2, seed=0)
+        for run in (lambda: estimate_cost(adv_problem, ZERO, 0.0, [0.1, 0.2], cfg),
+                    lambda: certify(adv_problem, adv_solution, ZERO, 0.0, [0.1, 0.2], cfg)):
+            with pytest.raises(ValueError, match=r"x0 must be a single starting point: .*"
+                                                 r"got shape \(2,\)"):
+                run()
+
     @pytest.mark.parametrize("chunk_size", [0, -3])
     def test_chunk_size_below_one_rejected(self, chunk_size):
         cfg = SimConfig(dt=0.02, n_paths=10, seed=0)
         with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-            estimate_cost(_terminal_state_problem(), ZERO, 0.0, 0.3, cfg, chunk_size=chunk_size)
+            next(sde.simulate_chunks(_terminal_state_problem(), ZERO, 0.0, 0.3, cfg,
+                                     chunk_size=chunk_size, integrand=None))
 
 
 class TestFundamentalIdentity:
@@ -413,7 +423,7 @@ class TestCandidateContract:
     def test_unbatched_states_raise(self, kind, x):
         source = _candidates()[kind][0]
         for probe in (source.value_at, source.gradient_at):
-            with pytest.raises(ValueError, match=r"batch of states, got shape"):
+            with pytest.raises(ValueError, match=r"batch of points, got shape"):
                 probe(0.0, x)
 
     @pytest.mark.parametrize("kind", ["solved", "sampled"])
@@ -423,7 +433,7 @@ class TestCandidateContract:
         # 2-d LQ candidate); a field is 1-d.
         source = _candidates()[kind][0]
         for probe in (source.value_at, source.gradient_at):
-            with pytest.raises(ValueError, match=r"\(P, 1\) batch of states, got shape \(2, 2\)"):
+            with pytest.raises(ValueError, match=r"\(P, 1\) batch of points, got shape \(2, 2\)"):
                 probe(0.0, np.array([[0.25, 0.75], [0.5, 0.9]]))
 
 
@@ -542,10 +552,14 @@ def _discounted_quadratic():
 class TestStreamedLoopMatchesRewalk:
     """Fused estimates equal the re-walk of a stored batch, bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        # Chunks of 16 paths, so that every run streams several chunks.
+        monkeypatch.setattr(verify, "_CHUNK", 16)
+
     def _certify_case(self, problem, source, policy, x0, cfg):
-        cert = certify(problem, source, policy, 0.0, x0, cfg, necessity_scan=True,
-                       chunk_size=16)
-        est = estimate_cost(problem, policy, 0.0, x0, cfg, chunk_size=16)
+        cert = certify(problem, source, policy, 0.0, x0, cfg, necessity_scan=True)
+        est = estimate_cost(problem, policy, 0.0, x0, cfg)
         batch = simulate(problem, policy, 0.0, x0, cfg)
         cost, gap, points, violations, _ = _rewalk(problem, source, batch)
         _assert_report_matches(cert.evidence, problem, cost, gap)
@@ -585,8 +599,8 @@ class TestStreamedLoopMatchesRewalk:
         source = ClosedFormValue(lambda t, x: x[:, 0] ** 2 + 1.0, lambda t, x: 2.0 * x)
         policy = FeedbackPolicy(lambda t, x: np.clip(-0.5 * x, -1.0, 1.0))
         cfg = SimConfig(dt=0.05, n_paths=24, seed=8)
-        rep = certify(problem, source, policy, 0.0, 0.6, cfg, until=3.0, chunk_size=16).evidence
-        est = estimate_cost(problem, policy, 0.0, 0.6, cfg, until=3.0, chunk_size=16)
+        rep = certify(problem, source, policy, 0.0, 0.6, cfg, until=3.0).evidence
+        est = estimate_cost(problem, policy, 0.0, 0.6, cfg, until=3.0)
         batch = simulate(problem, policy, 0.0, 0.6, cfg, until=3.0)
         cost, gap, _, _, tail = _rewalk(problem, source, batch, with_tail=True)
         _assert_report_matches(rep, problem, cost, gap, tail)
