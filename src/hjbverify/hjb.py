@@ -303,18 +303,20 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
     dx, dt = grid.dx, grid.dt
     ts = grid.ts
 
+    # The three tables a solve holds; every other array is one row long.
     v = np.empty((nt + 1, nx))
     v[nt] = prob.terminal(xcol)  # canonical terminal data; flipped back at the end
     # H0 at level i, computed from v[i] while stepping to level i-1; level 0
     # is never needed by the march.
     h0_table = np.empty((nt + 1, nx))
     h0_table[0] = np.nan
+    gradient = np.empty((nt + 1, nx))
 
     for i in range(nt - 1, -1, -1):
         t_impl = float(ts[i])
         t_prev = float(ts[i + 1])
 
-        grad_prev = _central_gradient(v[i + 1], dx)
+        grad_prev = _central_gradient(v[i + 1], dx, out=gradient[i + 1])
         h0, _ = _minimize_batch(prob, t_prev, xcol, grad_prev.reshape(-1, 1))
         h0_table[i + 1] = h0
         rhs = v[i + 1] + dt * h0
@@ -364,11 +366,18 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
                 f"(stability ratio dt/dx^2 = {grid.stability_ratio:.3g})"
             )
 
-    values = -v if flip < 0 else v
-    gradient = np.gradient(values, dx, axis=1)
+    # The rows written above are the canonical gradient: the declared one of a
+    # minimize problem.  A maximize problem's is taken from the flipped values,
+    # whose differences carry their own signed zeros.
+    if flip < 0:
+        np.negative(v, out=v)
+        for i in range(nt + 1):
+            _central_gradient(v[i], dx, out=gradient[i])
+    else:
+        _central_gradient(v[0], dx, out=gradient[0])
     # Read-only, so that the H0 rows kept for ``residual`` cannot go stale.
-    values.flags.writeable = gradient.flags.writeable = False
-    field = SpaceTimeField(grid=grid, values=values, gradient=gradient, provenance="solved")
+    v.flags.writeable = gradient.flags.writeable = False
+    field = SpaceTimeField(grid=grid, values=v, gradient=gradient, provenance="solved")
     object.__setattr__(field, "_march_h0", (problem, h0_table))
     return field
 
@@ -394,10 +403,10 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     return x
 
 
-def _central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
-    """``np.gradient(row, dx)`` of a 1-d row: the same formulas, hence the same
-    bits, without its per-call overhead."""
-    out = np.empty_like(row)
+def _central_gradient(row: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.gradient(row, dx)`` of a 1-d row, written into ``out`` if given: the
+    same formulas, hence the same bits, without its per-call overhead."""
+    out = np.empty_like(row) if out is None else out
     out[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
     out[0] = (row[1] - row[0]) / dx
     out[-1] = (row[-1] - row[-2]) / dx
@@ -442,7 +451,13 @@ def residual(
     (an identity check), so only level 0 minimizes H0 again.  Any other field
     or problem has H0 computed row by row; the residual is the same bits
     either way.  The field's grid must end at a finite horizon's T.
+
+    The report's ``residual`` table is the only table this builds: the
+    field is read a row at a time (negated as it is read for a maximize
+    problem) and the sup is reduced row by row.
     """
+    if exclusion_radius < 0:
+        raise ValueError(f"exclusion_radius must be non-negative, got {exclusion_radius}")
     prob = canonicalize(problem)
     maximize = problem.sense == "maximize"
     grid = field.grid
@@ -450,7 +465,6 @@ def residual(
         _require_end(grid, problem.horizon.terminal_time)
     xs, ts = grid.xs, grid.ts
     dx, dt = grid.dx, grid.dt
-    vals = -field.values if maximize else field.values
     nt, nx = grid.nt, grid.nx
     xcol = xs.reshape(-1, 1)
 
@@ -468,13 +482,17 @@ def residual(
         excluded.update(int(j) for j in hits)
     keep = np.array(sorted(set(range(1, nx - 1)) - excluded), dtype=int)
 
+    def level(j):  # canonical values of time level j
+        return -field.values[j] if maximize else field.values[j]
+
+    sup = np.nan
     for i in range(nt + 1):
         t = float(ts[i])
-        row = vals[i]
-        # np.gradient(vals, dt, axis=0), one row at a time: central inside,
+        row = level(i)
+        # np.gradient(values, dt, axis=0), one row at a time: central inside,
         # one-sided at the ends.
         lo, hi = max(i - 1, 0), min(i + 1, nt)
-        dvdt = (vals[hi] - vals[lo]) / (2.0 * dt if hi - lo == 2 else dt)
+        dvdt = (level(hi) - level(lo)) / (2.0 * dt if hi - lo == 2 else dt)
         d1 = d1_table[i] if d1_table is not None else _central_gradient(row, dx)
         d2 = np.empty_like(row)
         d2[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / dx**2
@@ -488,10 +506,11 @@ def residual(
         else:
             h0, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
         full = dvdt + 0.5 * sigma2 * d2 + f0 * d1 + h0
-        res[i, keep] = full[keep]
+        res[i, keep] = kept = full[keep]
+        # fmax skips NaN as nanmax does, and a max is the same in any order.
+        sup = np.fmax.reduce(np.abs(kept), initial=sup)
 
-    sup = float(np.nanmax(np.abs(res[:, keep]))) if keep.size else float("nan")
-    return ResidualReport(sup_interior_residual=sup, residual=res,
+    return ResidualReport(sup_interior_residual=float(sup), residual=res,
                           excluded_nodes=tuple(sorted(excluded)))
 
 

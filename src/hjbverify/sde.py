@@ -286,29 +286,6 @@ class PathBatch:
     def n_diverged(self) -> int:
         return int(np.sum(self.diverged_step >= 0))
 
-    def recompute_residual(self, problem: ControlProblem) -> float:
-        """Max relative defect of the stored Euler recurrence.
-
-        Replays states[i+1] = states[i] + (F0 + F1) dt + B ΔW from the stored
-        controls and increments, over steps strictly before divergence and up
-        to (including) the exit step; the batch must satisfy ≤ 1e-12.
-        """
-        worst = 0.0
-        for i in range(self.n_steps):
-            live = (self.exit_step < 0) | (i < self.exit_step)
-            live &= (self.diverged_step < 0) | (i + 1 < self.diverged_step)
-            if not np.any(live):
-                break
-            t = float(self.times[i])
-            x = self.states[live, i]
-            z = self.controls[live, i]
-            drift = problem.f0(t, x) + problem.f1(t, x, z)
-            diff = problem.diff(t, x)
-            pred = x + drift * self.dt + np.einsum("pnm,pm->pn", diff, self.brownian_increments[live, i])
-            err = np.abs(pred - self.states[live, i + 1]) / (1.0 + np.abs(self.states[live, i + 1]))
-            worst = max(worst, float(np.max(err)))
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # Simulation
@@ -413,7 +390,9 @@ def _end_time(problem: ControlProblem, until: float | None) -> float:
 
 
 # Noise is drawn in blocks of steps for the paths live at the block's start,
-# at most _BLOCK_DRAWS draws per block.  With a domain, the first block has
+# at most _BLOCK_DRAWS draws (4 MiB) per block.  The spent block is released
+# before the next is drawn, so one block per stream (Brownian increments and
+# bridge uniforms) is alive at a time.  With a domain, the first block has
 # _FIRST_BLOCK steps and each later one twice as many, so a path that exits
 # early leaves few unused draws and a long-lived one re-keys its stream
 # rarely.  Without a domain no path exits, so every block is as long as the
@@ -479,6 +458,7 @@ def _euler(problem: ControlProblem, policy, t0: float, x0, config: SimConfig,
             cap = max(4, _BLOCK_DRAWS // (live.size * m) // 4 * 4)
             block_start, size = i, min(block_len, cap, n_steps - i)
             block_end, block_len = i + size, 2 * block_len
+            dW = bridge_u = None  # release the spent blocks first
             dW = gaussian_increments(config.seed, live.size, size, m, dt,
                                      path_offset=lo, rows=live, first_step=i)
             if bridge:

@@ -234,6 +234,24 @@ class TestResidual:
         assert set(range(17, 24)).issubset(rep.excluded_nodes)
         assert np.all(np.isnan(rep.residual[:, 17:24]))
 
+    def test_sup_skips_nan_like_nanmax_and_is_nan_with_no_node_kept(self):
+        prob = _heat_problem(kink_points=(0.0,))
+        field = solve_parabolic(prob, Grid1D(-1, 1, 41, 20, t_final=1.0))
+        values = field.values.copy()
+        values[5, 10] = np.nan
+        rep = residual(SpaceTimeField(field.grid, values, field.gradient, "loaded"), prob)
+        assert np.isnan(rep.residual[4:7, 10]).all()
+        assert rep.sup_interior_residual == np.nanmax(np.abs(rep.residual))
+        assert np.isnan(residual(field, prob, exclusion_radius=40).sup_interior_residual)
+
+    def test_negative_exclusion_radius_raises(self, adv_params, adv_problem):
+        # A negative radius would exclude less than the kink node itself.
+        field = field_from_callable(lambda t, xs: advertising_value(adv_params, t, xs),
+                                    Grid1D(-1.0, 1.0, 41, 20, t_final=1.0))
+        assert residual(field, adv_problem, exclusion_radius=0).excluded_nodes == (0, 20, 40)
+        with pytest.raises(ValueError, match="exclusion_radius must be non-negative"):
+            residual(field, adv_problem, exclusion_radius=-1)
+
     def test_closed_form_advertising_residual_small(self, adv_params, adv_problem):
         # Away from the kink at 0 the closed form satisfies the equation;
         # the report's finite differences leave O(dx^2) noise in space and,
@@ -364,6 +382,9 @@ class TestMarchKernels:
                 row[rng.random(n) < 0.2] = 0.0  # equal neighbours give signed zeros
                 dx = float(rng.uniform(1e-3, 2.0))
                 assert _central_gradient(row, dx).tobytes() == np.gradient(row, dx).tobytes()
+                out = np.empty(n)
+                assert _central_gradient(row, dx, out=out) is out
+                assert out.tobytes() == np.gradient(row, dx).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 199])
     def test_tridiagonal_solve_is_solve_banded(self, rng, n):

@@ -1,0 +1,89 @@
+"""Memory budgets of the solve → certify → residual path.
+
+Peaks are read with tracemalloc, which sees NumPy's buffers, and bounded in
+units of the arrays that must exist: one (nt+1)×nx table of a field, or one
+noise block of 2¹⁹ draws.  The slack covers arrays one grid row or one path
+long and the interpreter's own free lists, never a second table or block.
+"""
+
+import tracemalloc
+
+import pytest
+
+from hjbverify import (
+    AdvertisingParams,
+    ConstantPolicy,
+    Grid1D,
+    SimConfig,
+    advertising_solution,
+    certify,
+    make_advertising_problem,
+    residual,
+    solve_exit,
+    solve_parabolic,
+)
+from hjbverify import sde
+
+_ROWS = 64                  # float64 arrays one grid row (or one path) long
+_FREE_LISTS = 256 * 1024    # bytes the interpreter keeps on its small-object free lists
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak of traced memory above what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _table_budget(grid: Grid1D, tables: int) -> int:
+    return (tables * (grid.nt + 1) + _ROWS) * grid.nx * 8 + _FREE_LISTS
+
+
+@pytest.fixture(scope="module")
+def exit_field(exit_time_problem):
+    return solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 401, 2000))
+
+
+def test_residual_builds_only_its_own_table(exit_time_problem, exit_field):
+    # The field's values, gradient and H0 rows are read a row at a time.
+    rep, peak = _peak_bytes(lambda: residual(exit_field, exit_time_problem))
+    assert rep.residual.shape == exit_field.values.shape
+    assert peak <= _table_budget(exit_field.grid, 1)
+
+
+def test_solve_exit_holds_three_tables(exit_time_problem):
+    # Values, gradient and the H0 rows kept for ``residual``.
+    grid = Grid1D(0.0, 1.0, 401, 2000)
+    field, peak = _peak_bytes(lambda: solve_exit(exit_time_problem, grid))
+    assert peak <= _table_budget(field.grid, 3)
+
+
+def test_maximize_solve_holds_three_tables():
+    # A maximize problem's values are flipped in place, not copied.
+    prob = make_advertising_problem(AdvertisingParams(eta=0.5, alpha=1.0, beta=0.5, horizon=1.0))
+    assert prob.sense == "maximize"
+    grid = Grid1D(0.1, 5.0, 401, 2000)
+    field, peak = _peak_bytes(lambda: solve_parabolic(prob, grid))
+    assert peak <= _table_budget(field.grid, 3)
+
+
+def test_certify_holds_one_noise_block():
+    # No domain: every block holds 2¹⁹ draws, and 512 steps of 2,048 paths
+    # take two of them; the spent one is gone before the next is drawn.
+    params = AdvertisingParams(eta=0.5, alpha=1.0, beta=0.5, horizon=1.0)
+    n_paths = 2048
+    config = SimConfig(dt=1.0 / 512, n_paths=n_paths, seed=3)
+    cert, peak = _peak_bytes(lambda: certify(
+        make_advertising_problem(params), advertising_solution(params),
+        ConstantPolicy([0.0]), 0.0, 2.0, config))
+    assert cert.evidence.cost.n_paths == n_paths
+    block, tile = sde._BLOCK_DRAWS * 8, sde._TILE_DRAWS * 8
+    assert peak <= block + tile + _ROWS * n_paths * 8 + _FREE_LISTS
