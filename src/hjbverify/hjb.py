@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 from ._util import as_size, probe_batch
 from .hamiltonian import _minimize_batch
@@ -394,9 +393,11 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
 
     Calls LAPACK ``dgtsv`` as ``scipy.linalg.solve_banded((1, 1), ...)`` does,
     with the same bits but without its per-call validation and copies.
+    ``scipy.linalg`` is imported by the first call, not by ``import hjbverify``.
     """
     if diag.size == 1:
         return rhs / diag  # dgtsv rejects the empty off-diagonals; SciPy divides too
+    from scipy.linalg.lapack import dgtsv  # deferred: a run with no PDE never maps LAPACK
     x, info = dgtsv(low, diag, up, rhs, 1, 1, 1, 1)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")

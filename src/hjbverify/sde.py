@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._util import as_point, as_size, batch_call
 from .problem import ControlProblem, DiscountedInfinite, Domain, FiniteHorizon
@@ -84,6 +83,8 @@ def _stream_uniforms(seed: int, n_paths: int, path_offset: int, rows, start: int
     rows = np.arange(n_paths) if rows is None else np.asarray(rows)
     if rows.shape != (n_paths,):
         raise ValueError(f"rows has shape {rows.shape}, expected ({n_paths},)")
+    if n_paths == 0 or count == 0:
+        return np.empty((n_paths, count))
     gen = np.random.Philox(0)
     draw = np.random.Generator(gen).random
     key = [seed & _MASK64, 0]
@@ -127,6 +128,7 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, m: int, dt: float
     of each path's stream, so any block of paths and steps equals the
     matching slice of the full draw.
     """
+    from scipy.special import ndtri  # deferred: a run that draws no noise never maps scipy.special
     u = _stream_uniforms(seed, n_paths, path_offset, rows, first_step * m, n_steps * m)
     dw = ndtri(u, out=u).reshape(n_paths, n_steps, m)
     dw *= np.sqrt(dt)

@@ -791,6 +791,14 @@ def _is_installed(name):
     return True
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this hjbverify."""
+    package_root = str(Path(hjbverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _assert_help_output(proc):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: hjbverify")
@@ -809,14 +817,9 @@ class TestEntryPoint:
             f"m = importlib.import_module({module!r})\n"
             f"sys.exit(getattr(m, {attr!r})())\n"
         )
-        package_root = str(Path(hjbverify.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c", code, "--help"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_package_env(), timeout=120,
         )
         _assert_help_output(proc)
 
@@ -845,3 +848,47 @@ class TestEntryPoint:
             cli.main([])
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+
+# Runs the CLI with argv in a fresh interpreter; prints its exit code and the
+# SciPy modules the process loaded (none when argv is empty: the import alone).
+_SCIPY_PROBE = """
+import json, sys
+from hjbverify import cli
+rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+_TINY_MC = "[mc]\npaths = 20\ndt = 0.05\n"
+_TINY_GRID = "[grid]\nnx = 21\nnt = 40\n"
+
+
+class TestScipyLoadsOnFirstUse:
+    """LAPACK (``scipy.linalg``) loads with the first PDE solve and
+    ``scipy.special`` with the first noise draw; nothing else imports SciPy."""
+
+    @pytest.mark.parametrize("command, kind, sections, wanted", [
+        (None, None, "", set()),
+        ("benchmark", None, "", set()),
+        ("solve", "advertising", _TINY_GRID, {"scipy.linalg"}),
+        ("simulate", "advertising", _TINY_MC, {"scipy.special"}),
+        ("verify", "discounted_constant", _TINY_MC, {"scipy.special"}),
+        ("verify", "exit_expected_time", _TINY_GRID + _TINY_MC,
+         {"scipy.linalg", "scipy.special"}),
+    ], ids=["import", "benchmark", "solve", "simulate", "verify_closed_form",
+            "verify_solved_field"])
+    def test_each_entry_point_loads_only_what_it_calls(self, tmp_path, command, kind,
+                                                       sections, wanted):
+        argv = []
+        if command == "benchmark":
+            argv = ["benchmark", "advertising", "--out", str(tmp_path / "out")]
+        elif command is not None:
+            cfg = _config(tmp_path, f"[problem]\nkind = {kind}\n{sections}")
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                              capture_output=True, text=True, env=_package_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0, proc.stderr
+        if not wanted:
+            assert loaded == []
+        assert {"scipy.linalg", "scipy.special"} & set(loaded) == wanted

@@ -189,6 +189,12 @@ class TestReproducibility:
             u = _bridge_uniforms(21, 4, size, path_offset=2, rows=rows - 2, first_step=first)
             assert np.array_equal(u, full_u[rows, first:first + size])
 
+    @pytest.mark.parametrize("n_paths, n_steps", [(4, 0), (0, 5), (0, 0)])
+    def test_an_empty_block_is_the_empty_slice_of_the_full_draw(self, n_paths, n_steps):
+        dw = gaussian_increments(1, n_paths, n_steps, 1, 1e-3, first_step=3)
+        assert dw.shape == (n_paths, n_steps, 1)
+        assert _bridge_uniforms(1, n_paths, n_steps, first_step=3).shape == (n_paths, n_steps)
+
     @pytest.mark.parametrize("start", [0, 5, 7])
     def test_uniforms_are_the_midpoints_of_the_raw_philox_draws(self, start):
         # Position i of path r's stream is ((raw_i >> 11) + 0.5)·2⁻⁵³ with
