@@ -14,6 +14,12 @@ domain with Dirichlet lateral data psi.
 
 Maximization problems are solved in canonical form and flipped back, so the
 returned field carries values/gradients in the problem's declared sense.
+
+The discrete HJB residual R of a level uses the values of that level and of
+its two neighbours in time.  The march forms R of level k+1 once it has
+solved level k, from rows it already holds, and keeps only the per-column sup
+of |R| over levels 1..nt; ``residual`` computes R of any field row by row
+with the same row function.
 """
 
 from __future__ import annotations
@@ -128,11 +134,6 @@ class SpaceTimeField:
     values: np.ndarray     # (nt+1, nx)
     gradient: np.ndarray   # (nt+1, nx)
     provenance: str
-    # (problem, H0 table) set by the march that produced this field, for
-    # ``residual``; a field built any other way, ``dataclasses.replace``
-    # included, has None.
-    _march_h0: tuple | None = dataclasses.field(default=None, init=False, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         expected = (self.grid.nt + 1, self.grid.nx)
@@ -246,13 +247,7 @@ def solve_parabolic(
     zero; needs nx >= 4), or Dirichlet data: a callable (t, x) -> value or an
     object with ``value_at`` (values in the problem's declared sense).
     """
-    if not isinstance(problem.horizon, FiniteHorizon):
-        raise ValueError("solve_parabolic requires a finite-horizon problem")
-    if problem.dimension != 1:
-        raise ValueError("the PDE solver is 1-d")
-    if boundary is None and grid.nx < 4:
-        raise ValueError(f"extrapolation edges need nx >= 4 (two interior nodes), got nx = {grid.nx}")
-    return _march(problem, grid, _dirichlet_fn(boundary, grid))
+    return _march(problem, grid, _parabolic_edges(problem, grid, boundary))[0]
 
 
 def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
@@ -262,6 +257,30 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
     compatibility at the parabolic corners was validated when the problem was
     constructed.
     """
+    return _march(problem, grid, _exit_edges(problem, grid))[0]
+
+
+def _solve(problem: ControlProblem, grid: Grid1D,
+           boundary=None) -> tuple[SpaceTimeField, np.ndarray]:
+    """``solve_exit`` for a problem with a domain (``boundary`` unused), else
+    ``solve_parabolic``; with the field, the march's per-column sup of |R|
+    over levels 1..nt, which :func:`_sup_residual` completes."""
+    edges = (_exit_edges(problem, grid) if problem.domain is not None
+             else _parabolic_edges(problem, grid, boundary))
+    return _march(problem, grid, edges)
+
+
+def _parabolic_edges(problem: ControlProblem, grid: Grid1D, boundary):
+    if not isinstance(problem.horizon, FiniteHorizon):
+        raise ValueError("solve_parabolic requires a finite-horizon problem")
+    if problem.dimension != 1:
+        raise ValueError("the PDE solver is 1-d")
+    if boundary is None and grid.nx < 4:
+        raise ValueError(f"extrapolation edges need nx >= 4 (two interior nodes), got nx = {grid.nx}")
+    return _dirichlet_fn(boundary, grid)
+
+
+def _exit_edges(problem: ControlProblem, grid: Grid1D):
     if problem.domain is None:
         raise ValueError("solve_exit requires a problem with a domain")
     if problem.dimension != 1:
@@ -273,7 +292,7 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
             f"grid [{grid.x_min}, {grid.x_max}] must coincide with the domain [{a}, {b}]"
         )
     ends = grid.xs[[0, -1]].reshape(2, 1)
-    return _march(problem, grid, lambda t: tuple(float(v) for v in problem.boundary(t, ends)))
+    return lambda t: tuple(float(v) for v in problem.boundary(t, ends))
 
 
 def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, float]] | None:
@@ -289,7 +308,10 @@ def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, floa
     return lambda t: (float(boundary(t, a)), float(boundary(t, b)))
 
 
-def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
+def _march(problem: ControlProblem, grid: Grid1D,
+           dirichlet) -> tuple[SpaceTimeField, np.ndarray]:
+    """The solved field and, per x-column, the sup of |R| over levels 1..nt
+    (NaN where every level's R is NaN)."""
     prob = canonicalize(problem)
     flip = -1.0 if problem.sense == "maximize" else 1.0
     T = prob.horizon.terminal_time
@@ -302,14 +324,13 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
     dx, dt = grid.dx, grid.dt
     ts = grid.ts
 
-    # The three tables a solve holds; every other array is one row long.
+    # The two tables a solve holds; every other array is one row long.
     v = np.empty((nt + 1, nx))
     v[nt] = prob.terminal(xcol)  # canonical terminal data; flipped back at the end
-    # H0 at level i, computed from v[i] while stepping to level i-1; level 0
-    # is never needed by the march.
-    h0_table = np.empty((nt + 1, nx))
-    h0_table[0] = np.nan
     gradient = np.empty((nt + 1, nx))
+    col_sup = np.full(nx, np.nan)
+    # sigma^2 and F0 at the level above the one being solved, for its R row.
+    sigma2_prev, f0_prev = _coefficients(prob, float(ts[nt]), xcol)
 
     for i in range(nt - 1, -1, -1):
         t_impl = float(ts[i])
@@ -317,12 +338,9 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
 
         grad_prev = _central_gradient(v[i + 1], dx, out=gradient[i + 1])
         h0, _ = _minimize_batch(prob, t_prev, xcol, grad_prev.reshape(-1, 1))
-        h0_table[i + 1] = h0
         rhs = v[i + 1] + dt * h0
 
-        diff = prob.diff(t_impl, xcol)
-        sigma2 = np.einsum("pnm,pnm->p", diff, diff)
-        f0 = prob.f0(t_impl, xcol)[:, 0]
+        sigma2, f0 = _coefficients(prob, t_impl, xcol)
         adiff = 0.5 * sigma2 / dx**2
         fp = np.maximum(f0, 0.0) / dx
         fm = np.minimum(f0, 0.0) / dx
@@ -365,6 +383,12 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
                 f"(stability ratio dt/dx^2 = {grid.stability_ratio:.3g})"
             )
 
+        # Level i+1 now has both time neighbours: its R row, as ``residual``
+        # forms it.
+        row = _residual_row(v.__getitem__, i + 1, grid, grad_prev, sigma2_prev, f0_prev, h0)
+        np.fmax(col_sup, np.abs(row), out=col_sup)
+        sigma2_prev, f0_prev = sigma2, f0
+
     # The rows written above are the canonical gradient: the declared one of a
     # minimize problem.  A maximize problem's is taken from the flipped values,
     # whose differences carry their own signed zeros.
@@ -374,11 +398,15 @@ def _march(problem: ControlProblem, grid: Grid1D, dirichlet) -> SpaceTimeField:
             _central_gradient(v[i], dx, out=gradient[i])
     else:
         _central_gradient(v[0], dx, out=gradient[0])
-    # Read-only, so that the H0 rows kept for ``residual`` cannot go stale.
+    # Read-only, so that the column sup returned with them cannot go stale.
     v.flags.writeable = gradient.flags.writeable = False
-    field = SpaceTimeField(grid=grid, values=v, gradient=gradient, provenance="solved")
-    object.__setattr__(field, "_march_h0", (problem, h0_table))
-    return field
+    return SpaceTimeField(grid=grid, values=v, gradient=gradient, provenance="solved"), col_sup
+
+
+def _coefficients(prob: ControlProblem, t: float, xcol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^2 = |B|^2 and F0 of a 1-d problem at the nodes ``xcol``, (nx,) each."""
+    diff = prob.diff(t, xcol)
+    return np.einsum("pnm,pnm->p", diff, diff), prob.f0(t, xcol)[:, 0]
 
 
 def _require_end(grid: Grid1D, T: float) -> None:
@@ -446,73 +474,82 @@ def residual(
     time at the ends), excluding x-boundary columns and nodes within
     ``exclusion_radius`` grid cells of a registered kink.
 
-    A field solved by ``solve_parabolic``/``solve_exit`` keeps the H0 rows its
-    march computed for levels 1..nt from the same central gradients; they are
-    reused here when ``problem`` is the very object the field was solved for
-    (an identity check), so only level 0 minimizes H0 again.  Any other field
-    or problem has H0 computed row by row; the residual is the same bits
-    either way.  The field's grid must end at a finite horizon's T.
-
-    The report's ``residual`` table is the only table this builds: the
-    field is read a row at a time (negated as it is read for a maximize
-    problem) and the sup is reduced row by row.
+    Every level is computed from the field's values alone: central
+    gradients, sigma^2 and F0 at the nodes, and H0 minimized at each level.
+    The field's grid must end at a finite horizon's T.  The report's
+    ``residual`` table is the only table this builds: the field is read a
+    row at a time and the sup is reduced row by row.
     """
-    if exclusion_radius < 0:
-        raise ValueError(f"exclusion_radius must be non-negative, got {exclusion_radius}")
-    prob = canonicalize(problem)
-    maximize = problem.sense == "maximize"
+    excluded, keep = _excluded_nodes(field.grid, problem, exclusion_radius)
     grid = field.grid
     if isinstance(problem.horizon, FiniteHorizon):
         _require_end(grid, problem.horizon.terminal_time)
-    xs, ts = grid.xs, grid.ts
-    dx, dt = grid.dx, grid.dt
-    nt, nx = grid.nt, grid.nx
-    xcol = xs.reshape(-1, 1)
-
-    march = field._march_h0
-    h0_table = march[1] if march is not None and march[0] is problem else None
-    # A solved field's gradient is the central difference of its declared-sense
-    # values: d1 itself for a minimize problem; for maximize it is -d1 up to
-    # signed zeros, so d1 is recomputed.
-    d1_table = field.gradient if h0_table is not None and not maximize else None
-
-    res = np.full((nt + 1, nx), np.nan)
-    excluded = {0, nx - 1}
-    for kink in problem.kink_points:
-        hits = np.where(np.abs(xs - kink) <= exclusion_radius * dx + 1e-12)[0]
-        excluded.update(int(j) for j in hits)
-    keep = np.array(sorted(set(range(1, nx - 1)) - excluded), dtype=int)
-
-    def level(j):  # canonical values of time level j
-        return -field.values[j] if maximize else field.values[j]
-
+    prob, maximize = canonicalize(problem), problem.sense == "maximize"
+    res = np.full((grid.nt + 1, grid.nx), np.nan)
     sup = np.nan
-    for i in range(nt + 1):
-        t = float(ts[i])
-        row = level(i)
-        # np.gradient(values, dt, axis=0), one row at a time: central inside,
-        # one-sided at the ends.
-        lo, hi = max(i - 1, 0), min(i + 1, nt)
-        dvdt = (level(hi) - level(lo)) / (2.0 * dt if hi - lo == 2 else dt)
-        d1 = d1_table[i] if d1_table is not None else _central_gradient(row, dx)
-        d2 = np.empty_like(row)
-        d2[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / dx**2
-        d2[0] = d2[1]
-        d2[-1] = d2[-2]
-        diff = prob.diff(t, xcol)
-        sigma2 = np.einsum("pnm,pnm->p", diff, diff)
-        f0 = prob.f0(t, xcol)[:, 0]
-        if h0_table is not None and i > 0:
-            h0 = h0_table[i]
-        else:
-            h0, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
-        full = dvdt + 0.5 * sigma2 * d2 + f0 * d1 + h0
-        res[i, keep] = kept = full[keep]
+    for i in range(grid.nt + 1):
+        res[i, keep] = kept = _field_row(prob, field, i, maximize)[keep]
         # fmax skips NaN as nanmax does, and a max is the same in any order.
         sup = np.fmax.reduce(np.abs(kept), initial=sup)
+    return ResidualReport(sup_interior_residual=float(sup), residual=res, excluded_nodes=excluded)
 
-    return ResidualReport(sup_interior_residual=float(sup), residual=res,
-                          excluded_nodes=tuple(sorted(excluded)))
+
+def _sup_residual(field: SpaceTimeField, problem: ControlProblem, col_sup: np.ndarray,
+                  exclusion_radius: int = 3) -> tuple[float, tuple[int, ...]]:
+    """``residual(field, problem, exclusion_radius)``'s sup and excluded nodes
+    for a field from :func:`_solve`, given the ``col_sup`` its march returned:
+    level 0, the one level the march leaves out, is the only row formed here.
+    """
+    excluded, keep = _excluded_nodes(field.grid, problem, exclusion_radius)
+    row = _field_row(canonicalize(problem), field, 0, problem.sense == "maximize")
+    col = np.fmax(col_sup, np.abs(row))
+    return float(np.fmax.reduce(col[keep], initial=np.nan)), excluded
+
+
+def _excluded_nodes(grid: Grid1D, problem: ControlProblem,
+                    exclusion_radius: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The excluded x-indices (both edges and each kink's neighbourhood) and
+    the kept interior ones."""
+    if exclusion_radius < 0:
+        raise ValueError(f"exclusion_radius must be non-negative, got {exclusion_radius}")
+    xs, nx = grid.xs, grid.nx
+    excluded = {0, nx - 1}
+    for kink in problem.kink_points:
+        hits = np.where(np.abs(xs - kink) <= exclusion_radius * grid.dx + 1e-12)[0]
+        excluded.update(int(j) for j in hits)
+    keep = np.array(sorted(set(range(1, nx - 1)) - excluded), dtype=int)
+    return tuple(sorted(excluded)), keep
+
+
+def _field_row(prob: ControlProblem, field: SpaceTimeField, i: int, maximize: bool) -> np.ndarray:
+    """R at time level i of ``field`` for the canonical problem ``prob``, with
+    the gradient, coefficients and H0 of that level computed here."""
+    # Canonical values, negated as they are read for a maximize problem.
+    level = (lambda j: -field.values[j]) if maximize else field.values.__getitem__
+    grid = field.grid
+    t = float(grid.ts[i])
+    xcol = grid.xs.reshape(-1, 1)
+    d1 = _central_gradient(level(i), grid.dx)
+    sigma2, f0 = _coefficients(prob, t, xcol)
+    h0, _ = _minimize_batch(prob, t, xcol, d1.reshape(-1, 1))
+    return _residual_row(level, i, grid, d1, sigma2, f0, h0)
+
+
+def _residual_row(level: Callable, i: int, grid: Grid1D, d1: np.ndarray,
+                  sigma2: np.ndarray, f0: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """R = v_t + sigma^2 v_xx / 2 + F0 v_x + H0 at time level i, given the
+    level's gradient ``d1``, coefficients and H0; v_t and v_xx come from the
+    canonical values ``level`` (a row per time index)."""
+    # np.gradient(values, dt, axis=0) at one row: central inside, one-sided
+    # at the ends.
+    lo, hi = max(i - 1, 0), min(i + 1, grid.nt)
+    dvdt = (level(hi) - level(lo)) / (2.0 * grid.dt if hi - lo == 2 else grid.dt)
+    row = level(i)
+    d2 = np.empty_like(row)
+    d2[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / grid.dx**2
+    d2[0] = d2[1]
+    d2[-1] = d2[-2]
+    return dvdt + 0.5 * sigma2 * d2 + f0 * d1 + h0
 
 
 def refine_ladder(
@@ -535,9 +572,7 @@ def refine_ladder(
     grids = [base_grid]
     for _ in range(levels - 1):
         grids.append(grids[-1].refined())
-    solver = (solve_exit if problem.domain is not None
-              else functools.partial(solve_parabolic, boundary=boundary))
-    fields = [solver(problem, g) for g in grids]
+    fields = [_solve(problem, g, boundary)[0] for g in grids]
 
     v_dist = []
     g_dist = []

@@ -271,10 +271,12 @@ class TestResidual:
 
 
 class TestResidualReusesMarchRows:
-    """A solved field's residual reads H0 at levels 1..nt from the march.
+    """The CLI's sup path reads the R rows the march formed for levels 1..nt.
 
-    The reference is the same arrays wrapped as a loaded field, whose
-    residual computes every row itself; the two must agree bit for bit.
+    ``hjb._solve`` returns the field with the march's per-column sup of |R|
+    over levels 1..nt, and ``hjb._sup_residual`` adds level 0.  The
+    reference is ``residual`` on the same field, which computes every row
+    itself; the two must agree bit for bit.
     """
 
     @staticmethod
@@ -293,19 +295,27 @@ class TestResidualReusesMarchRows:
         monkeypatch.setattr(hjb, "_minimize_batch", counted)
         return calls
 
-    def _assert_reused(self, monkeypatch, field, problem, **kwargs):
-        reference = residual(self._loaded(field), problem, **kwargs)
+    def _assert_reused(self, monkeypatch, problem, grid, boundary=None, **kwargs):
+        field, col_sup = hjb._solve(problem, grid, boundary)
+        reference = residual(field, problem, **kwargs)
         calls = self._h0_calls(monkeypatch)
-        rep = residual(field, problem, **kwargs)
-        assert calls == [0.0]  # only level 0 is minimized again
-        assert rep.excluded_nodes == reference.excluded_nodes
-        assert rep.residual.tobytes() == reference.residual.tobytes()
-        assert rep.sup_interior_residual == reference.sup_interior_residual
-        # The stored gradient is the per-row central difference of the
-        # stored values, signed zeros included.
+        sup, excluded = hjb._sup_residual(field, problem, col_sup, **kwargs)
+        monkeypatch.undo()
+        assert calls == [field.grid.t0]  # level 0 only, minimized once
+        assert excluded == reference.excluded_nodes
+        assert np.float64(sup).tobytes() == np.float64(reference.sup_interior_residual).tobytes()
+        # The march's columns are the sup of |R| over levels 1..nt of the table.
+        keep = np.setdiff1d(np.arange(field.grid.nx), excluded)
+        per_column = np.fmax.reduce(np.abs(reference.residual[1:, keep]), axis=0)
+        assert col_sup[keep].tobytes() == per_column.tobytes()
+        # The field is the public solver's, and its stored gradient is the
+        # per-row central difference of the stored values, signed zeros included.
+        public = (solve_exit(problem, grid) if problem.domain is not None
+                  else solve_parabolic(problem, grid, boundary=boundary))
+        assert public.values.tobytes() == field.values.tobytes()
         per_row = np.stack([np.gradient(row, field.grid.dx) for row in field.values])
         assert field.gradient.tobytes() == per_row.tobytes()
-        return rep
+        return reference
 
     def test_march_minimizes_levels_one_to_nt_only(self, monkeypatch):
         calls = self._h0_calls(monkeypatch)
@@ -315,8 +325,7 @@ class TestResidualReusesMarchRows:
     def test_exit_problems_minimize_with_psi_edges(self, monkeypatch, exit_time_problem,
                                                    exit_constant_problem):
         for prob in (exit_time_problem, exit_constant_problem):
-            field = solve_exit(prob, Grid1D(0.0, 1.0, 41, 60))
-            self._assert_reused(monkeypatch, field, prob)
+            self._assert_reused(monkeypatch, prob, Grid1D(0.0, 1.0, 41, 60))
 
     @pytest.mark.parametrize("edges", ["extrapolate", "callable", "value_at"])
     def test_maximize_advertising(self, monkeypatch, adv_params, adv_problem, adv_solution,
@@ -324,15 +333,20 @@ class TestResidualReusesMarchRows:
         boundary = {"extrapolate": None,
                     "callable": lambda t, x: advertising_value(adv_params, t, x),
                     "value_at": adv_solution}[edges]
-        field = solve_parabolic(adv_problem, Grid1D(0.1, 5.0, 41, 50), boundary=boundary)
         assert adv_problem.sense == "maximize"
-        self._assert_reused(monkeypatch, field, adv_problem)
+        self._assert_reused(monkeypatch, adv_problem, Grid1D(0.1, 5.0, 41, 50), boundary)
 
     def test_registered_kink_with_exclusion_radius(self, monkeypatch):
         prob = _bang_bang_problem(kink_points=(0.0,))
-        field = solve_parabolic(prob, Grid1D(-1.0, 1.0, 41, 30))
-        rep = self._assert_reused(monkeypatch, field, prob, exclusion_radius=2)
-        assert set(range(18, 23)).issubset(rep.excluded_nodes)
+        grid = Grid1D(-1.0, 1.0, 41, 30)
+        for radius, kink_nodes in ((0, [20]), (2, range(18, 23)), (3, range(17, 24))):
+            rep = self._assert_reused(monkeypatch, prob, grid, exclusion_radius=radius)
+            assert set(kink_nodes).issubset(rep.excluded_nodes)
+            assert np.isfinite(rep.sup_interior_residual)
+        # dx = 0.05: radius 20 reaches both edges, so no node is kept.
+        rep = self._assert_reused(monkeypatch, prob, grid, exclusion_radius=20)
+        assert rep.excluded_nodes == tuple(range(41))
+        assert np.isnan(rep.sup_interior_residual)
 
     def test_another_problem_object_gets_its_own_residual(self, monkeypatch, exit_time_problem):
         field = solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 41, 60))
@@ -365,13 +379,15 @@ class TestResidualReusesMarchRows:
                 table[1, 1] = 0.0
 
     def test_rows_do_not_show_in_equality_repr_or_csv(self, tmp_path):
+        # A solved field holds its four declared fields and nothing else.
         field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 5, 3))
+        declared = {f.name for f in dataclasses.fields(SpaceTimeField)}
+        assert declared == {"grid", "values", "gradient", "provenance"}
+        assert set(vars(field)) == declared
         assert dataclasses.replace(field) == field
-        assert "_march_h0" not in repr(field)
         field.to_csv(str(tmp_path / "a.csv"))
         self._loaded(field).to_csv(str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert SpaceTimeField.from_csv(str(tmp_path / "a.csv"))._march_h0 is None
 
 
 class TestMarchKernels:

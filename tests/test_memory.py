@@ -9,6 +9,9 @@ long and the interpreter's own free lists, never a second table or block.
 import tracemalloc
 
 import pytest
+# The package loads these on first use; loaded here, no budget counts the import.
+import scipy.linalg.lapack  # noqa: F401
+import scipy.special  # noqa: F401
 
 from hjbverify import (
     AdvertisingParams,
@@ -22,7 +25,7 @@ from hjbverify import (
     solve_exit,
     solve_parabolic,
 )
-from hjbverify import sde
+from hjbverify import hjb, sde
 
 _ROWS = 64                  # float64 arrays one grid row (or one path) long
 _FREE_LISTS = 256 * 1024    # bytes the interpreter keeps on its small-object free lists
@@ -48,31 +51,41 @@ def _table_budget(grid: Grid1D, tables: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def exit_field(exit_time_problem):
-    return solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 401, 2000))
+def exit_solved(exit_time_problem):
+    """The CLI's solve of the exit field: the field and its march's column sup."""
+    return hjb._solve(exit_time_problem, Grid1D(0.0, 1.0, 401, 2000))
 
 
-def test_residual_builds_only_its_own_table(exit_time_problem, exit_field):
-    # The field's values, gradient and H0 rows are read a row at a time.
-    rep, peak = _peak_bytes(lambda: residual(exit_field, exit_time_problem))
-    assert rep.residual.shape == exit_field.values.shape
-    assert peak <= _table_budget(exit_field.grid, 1)
+def test_residual_builds_only_its_own_table(exit_time_problem, exit_solved):
+    # The field's values are read a row at a time.
+    field = exit_solved[0]
+    rep, peak = _peak_bytes(lambda: residual(field, exit_time_problem))
+    assert rep.residual.shape == field.values.shape
+    assert peak <= _table_budget(field.grid, 1)
 
 
-def test_solve_exit_holds_three_tables(exit_time_problem):
-    # Values, gradient and the H0 rows kept for ``residual``.
+def test_cli_sup_residual_builds_no_table(exit_time_problem, exit_solved):
+    # Level 0 is the one row formed; the march's column sup holds the rest.
+    field, col_sup = exit_solved
+    (sup, _), peak = _peak_bytes(lambda: hjb._sup_residual(field, exit_time_problem, col_sup))
+    assert sup == residual(field, exit_time_problem).sup_interior_residual
+    assert peak <= _table_budget(field.grid, 0)
+
+
+def test_solve_exit_holds_two_tables(exit_time_problem):
+    # Values and gradient; the residual rows of the march are one row each.
     grid = Grid1D(0.0, 1.0, 401, 2000)
     field, peak = _peak_bytes(lambda: solve_exit(exit_time_problem, grid))
-    assert peak <= _table_budget(field.grid, 3)
+    assert peak <= _table_budget(field.grid, 2)
 
 
-def test_maximize_solve_holds_three_tables():
+def test_maximize_solve_holds_two_tables():
     # A maximize problem's values are flipped in place, not copied.
     prob = make_advertising_problem(AdvertisingParams(eta=0.5, alpha=1.0, beta=0.5, horizon=1.0))
     assert prob.sense == "maximize"
     grid = Grid1D(0.1, 5.0, 401, 2000)
     field, peak = _peak_bytes(lambda: solve_parabolic(prob, grid))
-    assert peak <= _table_budget(field.grid, 3)
+    assert peak <= _table_budget(field.grid, 2)
 
 
 def test_certify_holds_one_noise_block():
