@@ -62,6 +62,7 @@ from .problem import (
     HypothesisReport,
     canonicalize,
     probe_hypotheses,
+    rowwise,
 )
 from .sde import (
     ConstantPolicy,
@@ -91,7 +92,7 @@ __all__ = [
     # problem
     "ControlSet", "Domain", "FiniteHorizon", "DiscountedInfinite",
     "ControlProblem", "HypothesisReport", "CoefficientError",
-    "probe_hypotheses", "canonicalize",
+    "probe_hypotheses", "canonicalize", "rowwise",
     # hamiltonian
     "HamiltonianEval", "current_value", "minimize", "duality_gap",
     "feedback_map",

@@ -141,9 +141,10 @@ def duality_gap(problem: ControlProblem, t: float, x, p, z) -> float:
 def feedback_map(problem: ControlProblem, gradient_field) -> Callable:
     """Build the feedback (t, x) -> argmin_z H_cv(t, x, grad v(t, x); z).
 
-    ``gradient_field`` is a callable ``(t, x) -> (P, n) covectors`` (called
-    via :func:`~hjbverify._util.batch_call`) for the problem's *declared*
-    sense, or an object with a ``gradient_at`` method (a solved field).  The
+    ``gradient_field`` is a batched callable ``(t, x) -> (P, n) covectors``
+    for the problem's *declared* sense (another shape raises ValueError; wrap
+    a one-point-at-a-time callable in :func:`~hjbverify.rowwise`), or an
+    object with a ``gradient_at`` method (a solved field).  The
     canonical sign flip happens here.  The returned callable maps a (P, n)
     batch of states to (P, k) controls, and one state (a scalar when n = 1
     or an (n,) vector) to one control, a float when k = 1; a flat array of

@@ -17,7 +17,10 @@ Coefficients are evaluated in batches: for ``P`` states, ``x`` has shape
 ``drift_controlled(t, x, z)`` return ``(P, n)``, ``diffusion(t, x)`` returns
 ``(P, n, m)``, ``running_cost(t, x, z)`` returns ``(P,)``, terminal/boundary
 costs return ``(P,)``.  Plain broadcasting code (``lambda t, x: -alpha * x``)
-satisfies this; scalar-only callables are tolerated via a slow fallback.
+satisfies this.  Each callable is called once per batch and its result must
+have that shape ((P,) is also taken for (P, 1)); any other shape raises
+ValueError.  A callable written for one point at a time is declared with
+:func:`rowwise`, which calls it once per row.
 A closed-form Hamiltonian (see :class:`ControlProblem`) and the control-set and
 domain methods take such batches too; no flat array is read as a batch.
 """
@@ -42,6 +45,7 @@ __all__ = [
     "CoefficientError",
     "probe_hypotheses",
     "canonicalize",
+    "rowwise",
 ]
 
 
@@ -51,6 +55,25 @@ class CoefficientError(ValueError):
     def __init__(self, message: str, values: np.ndarray):
         super().__init__(message)
         self.values = values
+
+
+def rowwise(fn: Callable) -> Callable:
+    """Declare ``fn`` a callable that takes one point at a time.
+
+    The returned callable takes a batch and calls ``fn`` once per row:
+    scalar arguments (the time t) pass through, array arguments are indexed
+    on axis 0, and the row results are stacked in row order.  The stacked
+    result is checked like that of a batched callable, so a row result of
+    the wrong shape raises rather than being broadcast.  Each call costs a
+    Python call per row; a vectorized callable is much faster.
+    """
+
+    def batched(*args):
+        n_rows = next(len(a) for a in args if np.ndim(a))
+        return np.array([fn(*(a[i] if np.ndim(a) else a for a in args)) for i in range(n_rows)],
+                        dtype=float)
+
+    return batched
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +275,9 @@ class DiscountedInfinite:
 @dataclass(frozen=True)
 class ControlProblem:
     """Full specification of a stochastic optimal control problem.
+
+    The coefficients take batches under the module's shape contract; one
+    written for a single point is passed as ``rowwise(fn)``.
 
     Optional extras used elsewhere in the toolkit:
 

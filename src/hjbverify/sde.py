@@ -211,10 +211,10 @@ class OpenLoopPolicy:
 
 
 class FeedbackPolicy:
-    """z(s) = map(s, y(s)); the map may be batched or scalar-only.
+    """z(s) = map(s, y(s)) for a batched map: (P, n) states to (P, k) controls.
 
-    The fallback is :func:`~hjbverify._util.batch_call`'s: a (P,) result is
-    taken for k = 1, any other shape (size 1 for P > 1 too) goes row by row.
+    A (P,) result is taken for k = 1; any other shape raises ValueError.  A
+    map that takes one state at a time is wrapped in :func:`~hjbverify.rowwise`.
     """
 
     def __init__(self, map: Callable):

@@ -143,9 +143,10 @@ class ClosedFormValue:
 
     ``value_fn(t, x)`` and ``gradient_fn(t, x)`` get the (P, n) batch given
     to ``value_at``/``gradient_at`` and return (P,) and (P, n) in the
-    problem's declared sense (a (P,) gradient is read as (P, 1)); one that is
-    not vectorized, or returns another shape, is evaluated row by row.  A
-    scalar or a single point raises ValueError.  ``grid`` is None.
+    problem's declared sense (a (P,) gradient is read as (P, 1)); any other
+    shape raises ValueError, and a callable that takes one point at a time is
+    wrapped in :func:`~hjbverify.rowwise`.  A scalar or a single point raises
+    ValueError.  ``grid`` is None.
     """
 
     value_fn: Callable
@@ -436,8 +437,13 @@ def certify(
     claimed.  With ``necessity_scan`` the fraction of (path, step) points
     whose pointwise gap exceeds the allowance is reported; for an optimal
     policy it must be ~0, conditional on the candidate being the true value
-    function.
+    function.  ``c1``, ``c2`` and ``tolerance`` must be finite and
+    non-negative (ValueError naming the parameter): an infinite allowance
+    would certify any policy.
     """
+    for name, value in (("c1", c1), ("c2", c2), ("tolerance", tolerance)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     flip, rate = _orientation(problem)
     end = _end_time(problem, until)
     grid = source.grid

@@ -21,7 +21,6 @@ from hjbverify import (
     make_exit_demo,
     minimize,
 )
-from hjbverify import _util
 
 # Frozen reference values for eta=0.5, alpha=1, beta=0.5, T=1 at t=0, x=2,
 # cross-checked against an independent high-precision evaluation of the
@@ -175,11 +174,9 @@ class TestClosedFormCandidates:
         assert sol.gradient_at(0.3, x).tobytes() == np.zeros((n, 1)).tobytes()
 
     @pytest.mark.parametrize("name", ["advertising", "discounted"])
-    def test_a_wider_batch_raises(self, adv_solution, name, monkeypatch, caplog):
+    def test_a_wider_batch_raises(self, adv_solution, name, caplog):
         # A 1-d closed form once read column 0 of a (P, 2) batch without a
-        # word.  The error names the batch, and no row-by-row retry is tried
-        # (or logged) first.
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+        # word.  The error names the batch, and nothing is logged first.
         sol = adv_solution if name == "advertising" else discounted_demo_solution(0.5, 2.0)
         with caplog.at_level(logging.WARNING, logger="hjbverify"):
             for probe in (sol.value_at, sol.gradient_at):

@@ -30,7 +30,6 @@ from hjbverify import (
     advertising_coefficients,
     cli,
 )
-from hjbverify import _util
 
 # Frozen closed-form anchors (same derivation as in test_benchmarks).
 A0 = 0.3003325459344889
@@ -541,6 +540,19 @@ class TestVerifyCommand:
         assert report["identity"]["tolerance_used"] == 1e-15
         assert report["certificate"]["verdict"] == VERDICT_INCONCLUSIVE
 
+    @pytest.mark.parametrize("key, value", [("c2", "inf"), ("c1", "nan"), ("tolerance", "-1")])
+    def test_an_unusable_allowance_exits_2(self, tmp_path, key, value):
+        # With c2 = inf the zero policy on advertising (suboptimal by default)
+        # was certified optimal with exit 0 and "tolerance_used": Infinity.
+        cfg = _config(tmp_path, f"[problem]\nkind = advertising\n\n"
+                                f"[mc]\npaths = 50\ndt = 0.01\n\n[verify]\npolicy = zero\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        (record,) = _json_of(out, "failures.json")
+        assert record["check"] == "run"
+        assert record["message"].startswith(f"{key} must be a finite number >= 0, got ")
+        assert not (out / "report.json").exists()
+
     def test_solved_candidate_for_exit_problem(self, tmp_path):
         cfg = _config(
             tmp_path,
@@ -623,9 +635,8 @@ class TestVerifyCommand:
         assert record == {"check": "verification",
                           "message": "truncation tail bound exceeds tolerance"}
 
-    def test_exit_constant_candidate_rejects_a_wider_batch(self, monkeypatch, caplog):
+    def test_exit_constant_candidate_rejects_a_wider_batch(self, caplog):
         # The 1-d constant candidate once filled a value per row of any width.
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
         source = cli._closed_form_source({"problem": {"kind": "exit_constant", "constant": 2.5}}, None)
         assert source.value_at(0.0, np.array([[0.2], [0.7]])).tolist() == [2.5, 2.5]
         with caplog.at_level(logging.WARNING, logger="hjbverify"):

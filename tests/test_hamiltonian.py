@@ -21,6 +21,7 @@ from hjbverify import (
     feedback_map,
     make_exit_demo,
     minimize,
+    rowwise,
 )
 from hjbverify import canonicalize, hamiltonian
 from hjbverify.hamiltonian import _h_cv, _minimize_batch
@@ -166,7 +167,8 @@ class TestFeedbackMap:
 
     def test_a_transposed_gradient_is_not_reshaped_into_wrong_costates(self):
         # A (n, P) gradient of the right size was once reshaped to (P, n),
-        # pairing each state with another state's costate.
+        # pairing each state with another state's costate.  It now raises;
+        # the one-state-at-a-time form is declared with rowwise.
         prob = ControlProblem(
             dimension=2, noise_dimension=2,
             horizon=FiniteHorizon(1.0, lambda x: np.zeros(x.shape[0])),
@@ -177,7 +179,13 @@ class TestFeedbackMap:
             control_set=ControlSet.box([-np.inf, -np.inf], [np.inf, np.inf]),
             closed_form_hamiltonian=lambda t, x, p: (-0.25 * np.einsum("pn,pn->p", p, p), -0.5 * p))
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        got = feedback_map(prob, lambda t, x: np.asarray(2.0 * x).T)(0.0, x)
+        with pytest.raises(ValueError, match=r"gradient_field returned shape \(2, 3\) for a batch, "
+                                             r"expected \(3, 2\); .*hjbverify\.rowwise"):
+            feedback_map(prob, lambda t, x: np.asarray(2.0 * x).T)(0.0, x)
+        with pytest.raises(ValueError, match=r"gradient_field returned shape \(2,\) for a batch, "
+                                             r"expected \(3, 2\)"):
+            feedback_map(prob, lambda t, x: 2.0 * x[0])(0.0, x)
+        got = feedback_map(prob, rowwise(lambda t, x: 2.0 * x))(0.0, x)
         assert np.array_equal(got, -x)
 
     def test_one_state_and_batches(self, adv_problem, adv_solution):

@@ -1,11 +1,8 @@
 """Problem containers: control sets, domains, canonicalization, probes."""
 
-import logging
-
 import numpy as np
 import pytest
 
-from hjbverify import _util
 from hjbverify import (
     CoefficientError,
     ControlProblem,
@@ -15,6 +12,7 @@ from hjbverify import (
     FiniteHorizon,
     canonicalize,
     probe_hypotheses,
+    rowwise,
 )
 
 
@@ -152,7 +150,7 @@ class TestControlProblem:
     def test_scalar_only_coefficients_tolerated(self):
         # A callable that only understands a single point (n,) must be fed
         # row by row, not broadcast from its answer on the first row.
-        prob = _toy_problem(drift_uncontrolled=lambda t, x: -x[0].item())
+        prob = _toy_problem(drift_uncontrolled=rowwise(lambda t, x: -x[0].item()))
         out = prob.f0(0.0, np.array([[1.0], [3.0]]))
         assert np.allclose(out, [[-1.0], [-3.0]])
 
@@ -160,50 +158,59 @@ class TestControlProblem:
         # Terminal and discounted running costs take no t: every argument is
         # a batch, none may be passed through whole as if it were t.
         xs, zs = np.array([[1.0], [2.0]]), np.array([[0.5], [-0.5]])
-        prob = _toy_problem(horizon=FiniteHorizon(1.0, lambda x: float(x[0]) ** 2))
+        prob = _toy_problem(horizon=FiniteHorizon(1.0, rowwise(lambda x: float(x[0]) ** 2)))
         assert np.array_equal(prob.terminal(xs), [1.0, 4.0])
-        horizon = DiscountedInfinite(1.0, lambda x, z: float(x[0]) * float(z[0]))
+        horizon = DiscountedInfinite(1.0, rowwise(lambda x, z: float(x[0]) * float(z[0])))
         prob = _toy_problem(horizon=horizon, running_cost=None)
         assert np.array_equal(prob.cost_rate(0.0, xs, zs), [0.5, -1.0])
 
-    def test_failed_row_fallback_chains_the_vectorized_error(self):
+    def test_rowwise_passes_the_time_and_stacks_rows_in_order(self):
+        calls = []
+
+        def one_point(t, x, z):
+            calls.append((t, x.tolist(), z.tolist()))
+            return [x[0] + z[0], 10.0 * t]
+
+        out = rowwise(one_point)(0.5, np.array([[1.0], [2.0], [3.0]]), np.array([[0.1], [0.2], [0.3]]))
+        assert out.shape == (3, 2)
+        assert np.array_equal(out, [[1.1, 5.0], [2.2, 5.0], [3.3, 5.0]])
+        assert calls == [(0.5, [1.0], [0.1]), (0.5, [2.0], [0.2]), (0.5, [3.0], [0.3])]
+
+    @pytest.mark.parametrize("overrides, evaluate, message", [
+        (dict(drift_uncontrolled=lambda t, x: -x[0].item()), lambda p, xs: p.f0(0.0, xs),
+         r"drift_uncontrolled returned shape \(\) for a batch, expected \(2, 1\)"),
+        (dict(horizon=FiniteHorizon(1.0, lambda x: x[0].item() ** 2)), lambda p, xs: p.terminal(xs),
+         r"terminal_cost returned shape \(\) for a batch, expected \(2,\)"),
+    ], ids=["with_t", "terminal_cost"])
+    def test_an_unwrapped_scalar_only_callable_raises_naming_rowwise(self, overrides, evaluate,
+                                                                     message):
+        prob = _toy_problem(**overrides)
+        with pytest.raises(ValueError, match=message + r"; .*hjbverify\.rowwise"):
+            evaluate(prob, np.array([[1.0], [3.0]]))
+
+    def test_a_raising_batched_call_propagates_unchanged(self):
+        calls = []
+        error = KeyError("batched call")
+
         def drift(t, x):
-            if np.ndim(x) == 2:
-                raise KeyError("batched call")
-            raise RuntimeError("row call")
+            calls.append(x.shape)
+            raise error
 
         prob = _toy_problem(drift_uncontrolled=drift)
-        with pytest.raises(RuntimeError, match="row call") as excinfo:
+        with pytest.raises(KeyError) as excinfo:
             prob.f0(0.0, np.array([[1.0], [3.0]]))
-        assert isinstance(excinfo.value.__cause__, KeyError)
+        assert excinfo.value is error and excinfo.value.__cause__ is None
+        assert calls == [(2, 1)]
 
-    def test_row_fallback_is_logged_once_per_coefficient(self, monkeypatch, caplog):
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
-
-        def drift(t, x):
-            if np.ndim(x) == 2:
-                raise KeyError("needs one row")
-            return -2.0 * x
-
-        prob = _toy_problem(drift_uncontrolled=drift)
-        xs = np.array([[1.0], [3.0], [-0.5]])
-        with caplog.at_level(logging.WARNING, logger="hjbverify"):
-            first = prob.f0(0.0, xs)
-            again = prob.f0(0.5, xs)
-        assert np.array_equal(first, -2.0 * xs) and np.array_equal(again, first)
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert "drift_uncontrolled" in warnings[0].message
-        assert "KeyError" in warnings[0].message and "row by row" in warnings[0].message
-
-    def test_wrong_shape_fallback_names_the_shape(self, monkeypatch, caplog):
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+    def test_wrong_shape_names_the_label_and_both_shapes(self):
         prob = _toy_problem(running_cost=lambda t, x, z: z ** 2)  # (P, 1), not (P,)
-        with caplog.at_level(logging.WARNING, logger="hjbverify"):
-            out = prob.cost_rate(0.0, np.zeros((2, 1)), np.array([[0.5], [2.0]]))
-        assert np.array_equal(out, [0.25, 4.0])
-        (record,) = caplog.records
-        assert "running_cost" in record.message and "(2, 1)" in record.message
+        with pytest.raises(ValueError, match=r"running_cost returned shape \(2, 1\) for a batch, "
+                                             r"expected \(2,\)"):
+            prob.cost_rate(0.0, np.zeros((2, 1)), np.array([[0.5], [2.0]]))
+        # rowwise results are checked the same way: a (1,) row for a (P,) cost.
+        prob = _toy_problem(running_cost=rowwise(lambda t, x, z: z ** 2))
+        with pytest.raises(ValueError, match=r"returned shape \(2, 1\) for a batch, expected \(2,\)"):
+            prob.cost_rate(0.0, np.zeros((2, 1)), np.array([[0.5], [2.0]]))
 
 
 class TestCanonicalize:

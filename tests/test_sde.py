@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from hjbverify import _util
 from hjbverify import (
     ConstantPolicy,
     ControlProblem,
@@ -20,6 +19,7 @@ from hjbverify import (
     advertising_feedback,
     dump_paths_csv,
     gaussian_increments,
+    rowwise,
     simulate,
     simulate_chunks,
 )
@@ -274,36 +274,32 @@ class TestEulerRecurrence:
 
 
 class TestFeedbackPolicy:
-    def test_scalar_only_map_falls_back_with_one_warning(self, monkeypatch, caplog):
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+    def test_rowwise_map_gets_one_state_per_call(self):
         def one_state(t, x):
             if np.ndim(x) != 1:
                 raise TypeError("one state at a time")
             return 2.0 * x[0]
 
-        policy = FeedbackPolicy(one_state)
         xs = np.array([[1.0], [-0.5], [3.0]])
-        with caplog.at_level(logging.WARNING, logger="hjbverify"):
-            first = policy.controls_at(0.0, xs, 1)
-            again = policy.controls_at(0.1, xs, 1)
+        policy = FeedbackPolicy(rowwise(one_state))
+        first = policy.controls_at(0.0, xs, 1)
+        again = policy.controls_at(0.1, xs, 1)
         assert np.array_equal(first, 2.0 * xs) and np.array_equal(again, first)
-        (record,) = caplog.records
-        assert "policy" in record.message and "TypeError" in record.message
+        # Unwrapped, the map's own error comes out as it was raised.
+        with pytest.raises(TypeError, match="^one state at a time$"):
+            FeedbackPolicy(one_state).controls_at(0.0, xs, 1)
 
-    def test_first_row_answer_is_not_broadcast(self, monkeypatch, caplog):
+    def test_first_row_answer_is_not_broadcast(self):
         # On a batch, x[0] is the first row: a size-1 result for P > 1 is
-        # ambiguous, so the map is evaluated row by row.
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
-        policy = FeedbackPolicy(lambda t, x: 2.0 * x[0])
+        # not read as every row's control.
         xs = np.array([[1.0], [2.0], [3.0]])
-        with caplog.at_level(logging.WARNING, logger="hjbverify"):
-            out = policy.controls_at(0.0, xs, 1)
+        with pytest.raises(ValueError, match=r"policy returned shape \(1,\) for a batch, "
+                                             r"expected \(3, 1\); .*hjbverify\.rowwise"):
+            FeedbackPolicy(lambda t, x: 2.0 * x[0]).controls_at(0.0, xs, 1)
+        out = FeedbackPolicy(rowwise(lambda t, x: 2.0 * x[0])).controls_at(0.0, xs, 1)
         assert np.array_equal(out, 2.0 * xs)
-        (record,) = caplog.records
-        assert "policy" in record.message and "(1,)" in record.message
 
-    def test_flat_result_for_one_control_needs_no_fallback(self, monkeypatch, caplog):
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
+    def test_flat_result_for_one_control_needs_no_fallback(self, caplog):
         calls = []
 
         def flat(t, x):
@@ -316,11 +312,13 @@ class TestFeedbackPolicy:
         assert out.shape == (3, 1) and np.array_equal(out, -xs)
         assert calls == [(3, 1)] and not caplog.records
 
-    def test_flat_result_for_two_controls_is_evaluated_per_row(self, monkeypatch):
+    def test_flat_result_for_two_controls_is_evaluated_per_row(self):
         # Only a missing last axis of length 1 is reshaped: (P,) is not (P, 2).
-        monkeypatch.setattr(_util, "_FALLBACK_LOGGED", set())
-        policy = FeedbackPolicy(lambda t, x: np.full(2, x[0]) if np.ndim(x) == 1 else x[:, 0])
         xs = np.array([[1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"policy returned shape \(2,\) for a batch, "
+                                             r"expected \(2, 2\)"):
+            FeedbackPolicy(lambda t, x: x[:, 0]).controls_at(0.0, xs, 2)
+        policy = FeedbackPolicy(rowwise(lambda t, x: np.full(2, x[0])))
         assert np.array_equal(policy.controls_at(0.0, xs, 2), [[1.0, 1.0], [2.0, 2.0]])
 
 

@@ -31,6 +31,7 @@ from hjbverify import (
     make_discounted_demo,
     make_exit_demo,
     probe_hypotheses,
+    rowwise,
     simulate,
     solve_exit,
 )
@@ -170,6 +171,16 @@ class TestFundamentalIdentity:
                       tolerance=1e-12).evidence
         assert rep.tolerance_used == 1e-12
         assert not rep.passed
+
+    @pytest.mark.parametrize("name, value", [
+        ("c1", math.nan), ("c2", math.inf), ("c2", -1.0),
+        ("tolerance", math.inf), ("tolerance", -1.0), ("tolerance", math.nan)])
+    def test_allowance_must_be_finite_and_non_negative(self, adv_problem, adv_solution, name, value):
+        # An infinite allowance certified any policy; NaN or a negative one
+        # silently made every verdict inconclusive.
+        cfg = SimConfig(dt=0.01, n_paths=4, seed=0)
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got "):
+            certify(adv_problem, adv_solution, ZERO, 0.0, 2.0, cfg, **{name: value})
 
     def test_discounted_horizon_rejected(self):
         prob = make_discounted_demo(1.0, 1.0)
@@ -387,6 +398,16 @@ class TestClosedFormValue:
         for single in (1.5, np.array([1.5])):
             with pytest.raises(ValueError, match=r"\(P, n\) batch"):
                 cf.value_at(0.5, single)
+
+    def test_a_scalar_only_value_fn_is_declared_rowwise(self):
+        xs = np.array([[1.0], [2.0]])
+        scalar_only = ClosedFormValue(value_fn=lambda t, x: x[0].item() ** 2 + t,
+                                      gradient_fn=lambda t, x: 2.0 * x)
+        with pytest.raises(ValueError, match=r"value_fn returned shape \(\) for a batch, "
+                                             r"expected \(2,\); .*hjbverify\.rowwise"):
+            scalar_only.value_at(0.5, xs)
+        declared = dataclasses.replace(scalar_only, value_fn=rowwise(scalar_only.value_fn))
+        assert declared.value_at(0.5, xs).tolist() == [1.5, 4.5]
 
 
 def _candidates():
