@@ -24,9 +24,12 @@ with the same row function.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
+import glob
 import logging
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -420,16 +423,65 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     the arguments.
 
     Calls LAPACK ``dgtsv`` as ``scipy.linalg.solve_banded((1, 1), ...)`` does,
-    with the same bits but without its per-call validation and copies.
-    ``scipy.linalg`` is imported by the first call, not by ``import hjbverify``.
+    with the same bits but without its copies: the ``dgtsv`` that NumPy's wheel
+    bundles (:func:`_numpy_dgtsv`), so a solve loads no SciPy, or else
+    ``scipy.linalg.lapack.dgtsv``, imported by the first call.  The arrays must
+    be writeable C-contiguous float64 with ``low.size == up.size ==
+    diag.size - 1 == rhs.size - 1``, or ValueError is raised before LAPACK
+    sees a pointer; a singular system raises LinAlgError.
     """
+    for a in (low, diag, up, rhs):
+        if a.dtype != np.float64 or not a.flags.carray:
+            raise ValueError(f"the tridiagonal solve needs writeable C-contiguous float64 "
+                             f"arrays, got {a.dtype} (C-contiguous {a.flags.c_contiguous}, "
+                             f"writeable {a.flags.writeable}, aligned {a.flags.aligned})")
+    if not low.size == up.size == diag.size - 1 == rhs.size - 1:
+        raise ValueError(f"tridiagonal sizes do not match: low {low.size}, diag {diag.size}, "
+                         f"up {up.size}, rhs {rhs.size}")
     if diag.size == 1:
         return rhs / diag  # dgtsv rejects the empty off-diagonals; SciPy divides too
-    from scipy.linalg.lapack import dgtsv  # deferred: a run with no PDE never maps LAPACK
-    x, info = dgtsv(low, diag, up, rhs, 1, 1, 1, 1)[3:]
+    dgtsv = _numpy_dgtsv()
+    if dgtsv is not None:
+        x, info = rhs, dgtsv(low, diag, up, rhs)
+    else:
+        from scipy.linalg.lapack import dgtsv  # deferred: a run with no PDE never loads it
+        x, info = dgtsv(low, diag, up, rhs, 1, 1, 1, 1)[3:]
+    if info < 0:
+        raise ValueError(f"dgtsv rejected argument {-info}")
     if info > 0:
         raise LinAlgError("singular matrix")
     return x
+
+
+@functools.cache
+def _numpy_dgtsv() -> Callable | None:
+    """``dgtsv(low, diag, up, rhs) -> info`` from the ``libscipy_openblas64_``
+    that NumPy's Linux wheels ship in ``numpy.libs`` and have already mapped,
+    or None where it or its symbol is absent (NumPy from conda, a distro or
+    Accelerate).  The library is ILP64: every LAPACK integer is an int64.  N
+    and INFO are made per call, as ctypes releases the GIL during the call.
+    The caller checks dtypes, contiguity and sizes.
+    """
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
+    if not paths:
+        return None
+    try:
+        fn = ctypes.CDLL(paths[0]).scipy_dgtsv_64_
+    except (OSError, AttributeError):  # unloadable, or built without the symbol
+        return None
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    fn.argtypes = [i64, i64, f64, f64, f64, f64, i64, i64]  # N, NRHS, DL, D, DU, B, LDB, INFO
+    fn.restype = None
+    nrhs = ctypes.c_int64(1)
+    buf = ctypes.c_double.from_buffer  # the array's data pointer, holding the array
+
+    def dgtsv(low, diag, up, rhs) -> int:
+        n, info = ctypes.c_int64(diag.size), ctypes.c_int64()
+        fn(n, nrhs, buf(low), buf(diag), buf(up), buf(rhs), n, info)
+        return info.value
+
+    return dgtsv
 
 
 def _central_gradient(row: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -431,10 +431,11 @@ def certify(
     false positive); otherwise the margin (gap mean) is compared against
     3·SE(gap) plus the allowance (or the explicit ``tolerance``).
     ``ladder`` may be an :class:`~hjbverify.hjb.ApproximationLadder` (or a
-    bool): only a *passed* ladder, or a closed-form source, justifies reading
-    the candidate as a strong-solution proxy whose value lower-bounds every
-    policy — the certificate's ``lower_bound_note`` records exactly what is
-    claimed.  With ``necessity_scan`` the fraction of (path, step) points
+    bool): only a passed identity check together with a *passed* ladder, or
+    with a closed-form source, justifies reading the candidate as a
+    strong-solution proxy whose value lower-bounds every policy — the
+    certificate's ``lower_bound_note`` records exactly what is claimed.
+    With ``necessity_scan`` the fraction of (path, step) points
     whose pointwise gap exceeds the allowance is reported; for an optimal
     policy it must be ~0, conditional on the candidate being the true value
     function.  ``c1``, ``c2`` and ``tolerance`` must be finite and
@@ -519,27 +520,32 @@ def certify(
         verdict=verdict,
         optimality_margin=gap.mean,
         evidence=report,
-        lower_bound_note=_lower_bound_note(source, ladder),
+        lower_bound_note=_lower_bound_note(source, ladder, passed),
         necessity_fraction=necessity if necessity_scan else None,
     )
 
 
-def _lower_bound_note(source, ladder) -> str:
-    passed = None
+def _lower_bound_note(source, ladder, passed: bool) -> str:
+    if not passed:
+        return (
+            "v <= V not asserted: the identity check did not pass, so the "
+            "candidate is not evidence of a lower bound on the cost."
+        )
+    ladder_passed = None
     if ladder is not None:
-        passed = bool(getattr(ladder, "passed", ladder))
-    if passed:
+        ladder_passed = bool(getattr(ladder, "passed", ladder))
+    if ladder_passed:
         return (
             "v <= V applies: the refinement ladder passed, so the candidate is "
             "treated as a strong-solution proxy and its value at (t0, x0) "
             "lower-bounds the cost of every admissible policy."
         )
-    if passed is None and source.grid is None:
+    if ladder_passed is None and source.grid is None:
         return (
             "v <= V applies: the candidate is a closed-form solution, so its "
             "value at (t0, x0) lower-bounds the cost of every admissible policy."
         )
-    if passed is None:
+    if ladder_passed is None:
         return (
             "v <= V not asserted: no passed refinement ladder was supplied for "
             "the candidate field, so the margin is relative to v only."

@@ -1,6 +1,10 @@
 """PDE solver and field utilities: exactness, refinement, diagnostics."""
 
 import dataclasses
+import glob
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -403,21 +407,100 @@ class TestMarchKernels:
                 assert out.tobytes() == np.gradient(row, dx).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 199])
-    def test_tridiagonal_solve_is_solve_banded(self, rng, n):
-        for _ in range(20):
-            low, up = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
-            diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
-            rhs = rng.normal(size=n)
-            ab = np.zeros((3, n))
-            ab[0, 1:], ab[1], ab[2, :-1] = up, diag, low
-            expected = solve_banded((1, 1), ab, rhs)
-            got = _solve_tridiagonal(low.copy(), diag.copy(), up.copy(), rhs.copy())
-            assert got.tobytes() == expected.tobytes()
+    def test_tridiagonal_solve_is_solve_banded(self, rng, monkeypatch, n):
+        # Each LAPACK, on diagonally dominant systems and on systems that pivot.
+        for lapack in ("numpy", "scipy"):
+            if lapack == "scipy":
+                monkeypatch.setattr(hjb, "_numpy_dgtsv", lambda: None)
+            for scale in ((2.5, 4.0), (0.0, 1.0)):
+                for _ in range(20):
+                    low, up = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+                    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(*scale, n)
+                    rhs = rng.normal(size=n)
+                    ab = np.zeros((3, n))
+                    ab[0, 1:], ab[1], ab[2, :-1] = up, diag, low
+                    expected = solve_banded((1, 1), ab, rhs)
+                    got = _solve_tridiagonal(low.copy(), diag.copy(), up.copy(), rhs.copy())
+                    assert got.tobytes() == expected.tobytes()
 
-    def test_singular_tridiagonal_system_raises(self):
-        with pytest.raises(LinAlgError, match="singular"):
-            _solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]),
-                               np.array([1.0, 2.0]))
+    def test_singular_tridiagonal_system_raises(self, monkeypatch):
+        for lapack in ("numpy", "scipy"):
+            if lapack == "scipy":
+                monkeypatch.setattr(hjb, "_numpy_dgtsv", lambda: None)
+            with pytest.raises(LinAlgError, match="singular"):
+                _solve_tridiagonal(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]),
+                                   np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("case", ["sizes", "float32", "view", "read_only"])
+    def test_unusable_arrays_raise_before_lapack(self, monkeypatch, case):
+        def no_lapack():
+            raise AssertionError("LAPACK was reached")
+        monkeypatch.setattr(hjb, "_numpy_dgtsv", no_lapack)
+        low, diag, up, rhs = np.ones(3), np.full(4, 4.0), np.ones(3), np.ones(4)
+        if case == "sizes":
+            up = np.ones(2)
+        elif case == "float32":
+            diag = diag.astype(np.float32)
+        elif case == "view":
+            rhs = np.ones(8)[::2]
+        else:
+            low.flags.writeable = False
+        with pytest.raises(ValueError, match="tridiagonal"):
+            _solve_tridiagonal(low, diag, up, rhs)
+
+    def test_numpy_lapack_is_used_where_numpy_bundles_it(self, monkeypatch):
+        # NumPy's Linux wheels bundle it; conda, distro or Accelerate builds do not.
+        libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        bundled = bool(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
+        assert (hjb._numpy_dgtsv() is not None) == bundled
+        if bundled:  # with SciPy's LAPACK unimportable, the solve still runs
+            monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
+            x = _solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+            assert np.allclose(x, [3 / 14, 1 / 7, 3 / 14])
+
+    def test_threads_solving_at_once_get_their_own_answers(self):
+        # ctypes releases the GIL during the call: each solve needs its own N and INFO.
+        rng = np.random.default_rng(7)
+        systems = []
+        for n in rng.integers(2, 300, size=64):
+            low, up = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+            diag, rhs = rng.uniform(2.5, 4.0, n), rng.normal(size=n)
+            ref = _solve_tridiagonal(low.copy(), diag.copy(), up.copy(), rhs.copy())
+            systems.append(((low, diag, up, rhs), ref.tobytes()))
+        wrong = []
+
+        def work(offset):
+            for k in range(400):
+                args, want = systems[(offset + k) % len(systems)]
+                got = _solve_tridiagonal(*(a.copy() for a in args))
+                if got.tobytes() != want:
+                    wrong.append(k)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i * 16,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("kind", ["exit", "advertising"])
+    def test_both_lapack_paths_march_the_same_bits(self, monkeypatch, kind, exit_time_problem,
+                                                   adv_problem):
+        if kind == "exit":
+            solve = lambda: solve_exit(exit_time_problem, Grid1D(0.0, 1.0, 201, 1500))
+        else:
+            solve = lambda: solve_parabolic(adv_problem, Grid1D(0.1, 5.0, 101, 250))
+        ours = solve()
+        monkeypatch.setattr(hjb, "_numpy_dgtsv", lambda: None)
+        scipys = solve()
+        assert ours.values.tobytes() == scipys.values.tobytes()
+        assert ours.gradient.tobytes() == scipys.gradient.tobytes()
 
 
 class TestRefineLadder:

@@ -22,6 +22,7 @@ from hjbverify import (
     Grid1D,
     SimConfig,
     advertising_feedback,
+    advertising_gradient,
     advertising_solution,
     advertising_value,
     certify,
@@ -255,6 +256,19 @@ class TestCertify:
             Grid1D(0.05, 8.0, 160, 20, t_final=1.0), provenance="solved")
         cert = certify(adv_problem, field, ZERO, 0.0, 2.0, cfg)
         assert "not asserted" in cert.lower_bound_note
+
+    def test_lower_bound_needs_a_passed_identity(self, adv_params, adv_problem):
+        # Half the true value is no solution: the identity fails, and neither a
+        # closed form nor a passed ladder turns it into a lower bound.
+        half = ClosedFormValue(
+            lambda t, x: 0.5 * advertising_value(adv_params, t, x[:, 0]),
+            lambda t, x: 0.5 * advertising_gradient(adv_params, t, x[:, 0]))
+        cfg = SimConfig(dt=2e-3, n_paths=2000, seed=3)
+        for ladder in (None, True):
+            cert = certify(adv_problem, half, _feedback_policy(adv_params), 0.0, 2.0, cfg,
+                           ladder=ladder)
+            assert cert.verdict == VERDICT_INCONCLUSIVE
+            assert "not asserted: the identity check did not pass" in cert.lower_bound_note
 
     def test_sampled_field_is_not_read_as_a_closed_form(self, exit_time_problem):
         # field_from_callable keeps provenance "closed_form" by default, but
