@@ -241,8 +241,8 @@ def _build_sim_config(cfg: dict) -> sde.SimConfig:
                          seed=int(m["seed"]), exit_rule=m["exit_rule"])
 
 
-def _solve_field(cfg: dict, problem, params) -> tuple[hjb.SpaceTimeField, np.ndarray]:
-    """The solved field and its march's column sup of |R| (see ``hjb._solve``)."""
+def _solve_field(cfg: dict, problem, params) -> tuple[hjb.SpaceTimeField, hjb.ResidualReport]:
+    """The solved field and its residual report (see ``hjb._solve``)."""
     g = cfg["grid"]
     grid = hjb.Grid1D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
                       nx=int(g["nx"]), nt=int(g["nt"]))
@@ -268,12 +268,11 @@ def cmd_solve(cfg: dict, out_dir: str) -> list[dict]:
     problem, params = _build_problem(cfg)
     if isinstance(problem.horizon, DiscountedInfinite):
         raise ConfigError("solve requires a finite-horizon problem kind")
-    field, col_sup = _solve_field(cfg, problem, params)
+    field, residual_report = _solve_field(cfg, problem, params)
     field.to_csv(os.path.join(out_dir, "field.csv"))
-    sup, excluded = hjb._sup_residual(field, problem, col_sup)
     _write_json(os.path.join(out_dir, "residual.json"), {
-        "sup_interior_residual": sup,
-        "excluded_nodes": list(excluded),
+        "sup_interior_residual": residual_report.sup_interior_residual,
+        "excluded_nodes": list(residual_report.excluded_nodes),
         "grid": {"x_min": field.grid.x_min, "x_max": field.grid.x_max,
                  "nx": field.grid.nx, "nt": field.grid.nt,
                  "dx": field.grid.dx, "dt": field.grid.dt,
@@ -329,12 +328,12 @@ def _hypotheses_dict(problem, cfg: dict) -> dict:
     }
 
 
-def _diagnostics_dict(problem, source, col_sup, cfg: dict) -> dict:
-    """``col_sup`` is the march's column sup for a solved field, None for a closed form."""
+def _diagnostics_dict(problem, source, residual_report, cfg: dict) -> dict:
+    """``residual_report`` is a solved field's, None for a closed form."""
     out: dict = {"candidate_source": source.provenance}
     solved = source.grid is not None
     if solved:
-        out["sup_interior_residual"] = hjb._sup_residual(source, problem, col_sup)[0]
+        out["sup_interior_residual"] = residual_report.sup_interior_residual
         out["grid"] = {"x_min": source.grid.x_min, "x_max": source.grid.x_max,
                        "nx": source.grid.nx, "nt": source.grid.nt}
     if not isinstance(problem.horizon, DiscountedInfinite):
@@ -362,9 +361,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
     tolerance = float(v["tolerance"]) if "tolerance" in v else None
     c1, c2 = float(v["c1"]), float(v["c2"])
 
-    source, col_sup = _closed_form_source(cfg, params), None
+    source, residual_report = _closed_form_source(cfg, params), None
     if source is None:
-        source, col_sup = _solve_field(cfg, problem, params)
+        source, residual_report = _solve_field(cfg, problem, params)
 
     certificate = verify.certify(problem, source, policy, t0, x0, sim, until=until,
                                  c1=c1, c2=c2, tolerance=tolerance, necessity_scan=True)
@@ -373,7 +372,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> list[dict]:
         certificate = None  # discounted reports carry the identity only
 
     hypotheses = _hypotheses_dict(problem, cfg)
-    diagnostics = _diagnostics_dict(problem, source, col_sup, cfg)
+    diagnostics = _diagnostics_dict(problem, source, residual_report, cfg)
 
     payload = {
         "identity": dataclasses.asdict(report),

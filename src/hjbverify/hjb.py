@@ -16,10 +16,10 @@ Maximization problems are solved in canonical form and flipped back, so the
 returned field carries values/gradients in the problem's declared sense.
 
 The discrete HJB residual R of a level uses the values of that level and of
-its two neighbours in time.  The march forms R of level k+1 once it has
-solved level k, from rows it already holds, and keeps only the per-column sup
-of |R| over levels 1..nt; ``residual`` computes R of any field row by row
-with the same row function.
+its two neighbours in time; a :class:`ResidualReport` keeps its per-column
+sup of |R| over the levels.  The march forms R of level k+1 once it has
+solved level k, from rows it already holds; ``residual`` computes R of any
+field row by row with the same row function and report.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _SMOOTH_FLOOR = 1e-12  # relative |v_xx| below which a second difference counts as zero
+_EXCLUSION_RADIUS = 3  # grid cells around a kink left out of a residual sup by default
 
 _LADDER_NOTE = (
     "Ladder distances measure refinement self-consistency (a surrogate for "
@@ -192,14 +193,17 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Sup of the discrete HJB residual over non-excluded interior nodes.
+    """The discrete HJB residual R of a field, reduced over its time levels.
 
-    ``residual`` is NaN at excluded columns (x-boundaries and kink
-    neighborhoods); ``excluded_nodes`` lists the excluded x-indices.
+    ``column_sup`` holds, for every x-column, the sup of |R| over all levels
+    (NaN only where every level's R is NaN); it is read-only and not masked,
+    so it serves any exclusion radius.  ``sup_interior_residual`` is its sup
+    over the kept columns (NaN when none is kept); ``excluded_nodes`` lists
+    the others: both x-boundaries and each kink's neighborhood.
     """
 
     sup_interior_residual: float
-    residual: np.ndarray           # (nt+1, nx)
+    column_sup: np.ndarray         # (nx,)
     excluded_nodes: tuple[int, ...]
 
 
@@ -264,18 +268,22 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
 
 
 def _solve(problem: ControlProblem, grid: Grid1D,
-           boundary=None) -> tuple[SpaceTimeField, np.ndarray]:
+           boundary=None) -> tuple[SpaceTimeField, ResidualReport]:
     """``solve_exit`` for a problem with a domain (``boundary`` unused), else
-    ``solve_parabolic``; with the field, the march's per-column sup of |R|
-    over levels 1..nt, which :func:`_sup_residual` completes."""
+    ``solve_parabolic``; with ``residual(field, problem)``'s report, from the
+    march's column sup and level 0, the one row it leaves out."""
     edges = (_exit_edges(problem, grid) if problem.domain is not None
              else _parabolic_edges(problem, grid, boundary))
-    return _march(problem, grid, edges)
+    field, column_sup = _march(problem, grid, edges)
+    row = _field_row(canonicalize(problem), field, 0, problem.sense == "maximize")
+    np.fmax(column_sup, np.abs(row), out=column_sup)
+    return field, _report(column_sup, field.grid, problem, _EXCLUSION_RADIUS)
 
 
 def _parabolic_edges(problem: ControlProblem, grid: Grid1D, boundary):
-    if not isinstance(problem.horizon, FiniteHorizon):
-        raise ValueError("solve_parabolic requires a finite-horizon problem")
+    _terminal_time(problem, "solve_parabolic")
+    if problem.domain is not None:
+        raise ValueError("solve_parabolic takes no problem with a domain; use solve_exit")
     if problem.dimension != 1:
         raise ValueError("the PDE solver is 1-d")
     if boundary is None and grid.nx < 4:
@@ -314,7 +322,7 @@ def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, floa
 def _march(problem: ControlProblem, grid: Grid1D,
            dirichlet) -> tuple[SpaceTimeField, np.ndarray]:
     """The solved field and, per x-column, the sup of |R| over levels 1..nt
-    (NaN where every level's R is NaN)."""
+    (NaN where every level's R is NaN); :func:`_solve` adds level 0."""
     prob = canonicalize(problem)
     flip = -1.0 if problem.sense == "maximize" else 1.0
     T = prob.horizon.terminal_time
@@ -410,6 +418,12 @@ def _coefficients(prob: ControlProblem, t: float, xcol: np.ndarray) -> tuple[np.
     """sigma^2 = |B|^2 and F0 of a 1-d problem at the nodes ``xcol``, (nx,) each."""
     diff = prob.diff(t, xcol)
     return np.einsum("pnm,pnm->p", diff, diff), prob.f0(t, xcol)[:, 0]
+
+
+def _terminal_time(problem: ControlProblem, caller: str) -> float:
+    if not isinstance(problem.horizon, FiniteHorizon):
+        raise ValueError(f"{caller} requires a finite-horizon problem")
+    return problem.horizon.terminal_time
 
 
 def _require_end(grid: Grid1D, T: float) -> None:
@@ -520,57 +534,42 @@ def field_from_callable(
 def residual(
     field: SpaceTimeField,
     problem: ControlProblem,
-    exclusion_radius: int = 3,
+    exclusion_radius: int = _EXCLUSION_RADIUS,
 ) -> ResidualReport:
     """Discrete HJB residual of ``field`` (central differences, one-sided in
     time at the ends), excluding x-boundary columns and nodes within
-    ``exclusion_radius`` grid cells of a registered kink.
+    ``exclusion_radius`` grid cells of a registered kink from the sup.
 
     Every level is computed from the field's values alone: central
     gradients, sigma^2 and F0 at the nodes, and H0 minimized at each level.
-    The field's grid must end at a finite horizon's T.  The report's
-    ``residual`` table is the only table this builds: the field is read a
-    row at a time and the sup is reduced row by row.
+    The problem must have a finite horizon, whose T the field's grid ends
+    at.  The field is read a row at a time and each row is folded into the
+    report's column sup, so this builds no (nt+1)×nx table.
     """
-    excluded, keep = _excluded_nodes(field.grid, problem, exclusion_radius)
-    grid = field.grid
-    if isinstance(problem.horizon, FiniteHorizon):
-        _require_end(grid, problem.horizon.terminal_time)
-    prob, maximize = canonicalize(problem), problem.sense == "maximize"
-    res = np.full((grid.nt + 1, grid.nx), np.nan)
-    sup = np.nan
-    for i in range(grid.nt + 1):
-        res[i, keep] = kept = _field_row(prob, field, i, maximize)[keep]
-        # fmax skips NaN as nanmax does, and a max is the same in any order.
-        sup = np.fmax.reduce(np.abs(kept), initial=sup)
-    return ResidualReport(sup_interior_residual=float(sup), residual=res, excluded_nodes=excluded)
-
-
-def _sup_residual(field: SpaceTimeField, problem: ControlProblem, col_sup: np.ndarray,
-                  exclusion_radius: int = 3) -> tuple[float, tuple[int, ...]]:
-    """``residual(field, problem, exclusion_radius)``'s sup and excluded nodes
-    for a field from :func:`_solve`, given the ``col_sup`` its march returned:
-    level 0, the one level the march leaves out, is the only row formed here.
-    """
-    excluded, keep = _excluded_nodes(field.grid, problem, exclusion_radius)
-    row = _field_row(canonicalize(problem), field, 0, problem.sense == "maximize")
-    col = np.fmax(col_sup, np.abs(row))
-    return float(np.fmax.reduce(col[keep], initial=np.nan)), excluded
-
-
-def _excluded_nodes(grid: Grid1D, problem: ControlProblem,
-                    exclusion_radius: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The excluded x-indices (both edges and each kink's neighbourhood) and
-    the kept interior ones."""
     if exclusion_radius < 0:
         raise ValueError(f"exclusion_radius must be non-negative, got {exclusion_radius}")
-    xs, nx = grid.xs, grid.nx
-    excluded = {0, nx - 1}
+    _require_end(field.grid, _terminal_time(problem, "residual"))
+    prob, maximize = canonicalize(problem), problem.sense == "maximize"
+    column_sup = np.full(field.grid.nx, np.nan)
+    for i in range(field.grid.nt + 1):
+        np.fmax(column_sup, np.abs(_field_row(prob, field, i, maximize)), out=column_sup)
+    return _report(column_sup, field.grid, problem, exclusion_radius)
+
+
+def _report(column_sup: np.ndarray, grid: Grid1D, problem: ControlProblem,
+            exclusion_radius: int) -> ResidualReport:
+    """The report of ``column_sup``, which it holds read-only; both edges and
+    the columns within ``exclusion_radius`` cells of a kink are excluded."""
+    excluded = {0, grid.nx - 1}
     for kink in problem.kink_points:
-        hits = np.where(np.abs(xs - kink) <= exclusion_radius * grid.dx + 1e-12)[0]
+        hits = np.where(np.abs(grid.xs - kink) <= exclusion_radius * grid.dx + 1e-12)[0]
         excluded.update(int(j) for j in hits)
-    keep = np.array(sorted(set(range(1, nx - 1)) - excluded), dtype=int)
-    return tuple(sorted(excluded)), keep
+    excluded = tuple(sorted(excluded))
+    # fmax skips NaN as nanmax does, and a max is the same in any order.
+    sup = np.fmax.reduce(np.delete(column_sup, excluded), initial=np.nan)
+    column_sup.flags.writeable = False
+    return ResidualReport(sup_interior_residual=float(sup), column_sup=column_sup,
+                          excluded_nodes=excluded)
 
 
 def _field_row(prob: ControlProblem, field: SpaceTimeField, i: int, maximize: bool) -> np.ndarray:
@@ -624,7 +623,8 @@ def refine_ladder(
     grids = [base_grid]
     for _ in range(levels - 1):
         grids.append(grids[-1].refined())
-    fields = [_solve(problem, g, boundary)[0] for g in grids]
+    fields = [solve_exit(problem, g) if problem.domain is not None
+              else solve_parabolic(problem, g, boundary) for g in grids]
 
     v_dist = []
     g_dist = []
@@ -667,7 +667,7 @@ def gradient_diagnostics(source, problem: ControlProblem, probe_points=None) -> 
     floor are treated as zero and a fully floored profile reports exponent
     0.0 (no blow-up).
     """
-    T = problem.horizon.terminal_time
+    T = _terminal_time(problem, "gradient_diagnostics")
     field = source.grid is not None
     if probe_points is None:
         if not field:

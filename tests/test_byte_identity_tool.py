@@ -65,7 +65,7 @@ _PINNED = ("ver_adv_feedback", "ver_exit_constant", "ver_exit_expected_time",
 
 
 def test_one_verify_run_per_candidate_kind_is_byte_identical(tmp_path):
-    with open(os.path.join(_ROOT, "BENCH_10.json")) as fh:
+    with open(os.path.join(_ROOT, "BENCH_26.json")) as fh:
         ref = json.load(fh)["byte_identity"]
     got = byte_identity.run_configs({name: ref["configs"][name] for name in _PINNED},
                                     _ROOT, str(tmp_path))

@@ -29,6 +29,7 @@ from hjbverify import (
 )
 from hjbverify import hjb
 from hjbverify.hjb import _central_gradient, _solve_tridiagonal
+from hjbverify.problem import canonicalize
 
 
 def _heat_problem(terminal=None, kink_points=(), horizon=1.0):
@@ -44,6 +45,12 @@ def _heat_problem(terminal=None, kink_points=(), horizon=1.0):
         control_set=ControlSet.finite([[0.0]]),
         kink_points=kink_points,
     )
+
+
+def _rows(field, problem):
+    """R at every node of ``field``: one ``hjb._field_row`` per time level."""
+    prob, maximize = canonicalize(problem), problem.sense == "maximize"
+    return np.stack([hjb._field_row(prob, field, i, maximize) for i in range(field.grid.nt + 1)])
 
 
 def _bang_bang_problem(kink_points=()):
@@ -174,6 +181,12 @@ class TestSolveParabolic:
         with pytest.raises(ValueError, match="finite-horizon"):
             solve_parabolic(prob, Grid1D(-1, 1, 11, 4, t_final=1.0))
 
+    def test_problem_with_a_domain_rejected(self):
+        # Solving over the domain's edges instead of psi gave v = 3 (= T)
+        # everywhere, where the expected exit time is 0.25 at x = 0.5.
+        with pytest.raises(ValueError, match="use solve_exit"):
+            solve_parabolic(make_exit_demo("expected_exit_time"), Grid1D(0.0, 1.0, 41, 200))
+
     def test_extrapolation_edges_need_two_interior_nodes(self):
         grid = Grid1D(-1.0, 1.0, 3, 4, t_final=1.0)
         with pytest.raises(ValueError, match="extrapolation edges need nx >= 4"):
@@ -219,16 +232,21 @@ class TestResidual:
         rep = residual(field, prob)
         assert rep.sup_interior_residual <= 1e-10
 
-    def test_excluded_columns_are_nan(self):
+    def test_excluded_columns_stay_out_of_the_sup(self):
         prob = _heat_problem()
         field = solve_parabolic(prob, Grid1D(-1, 1, 41, 20, t_final=1.0))
         rep = residual(field, prob)
         assert rep.excluded_nodes == (0, 40)
-        assert np.all(np.isnan(rep.residual[:, 0]))
-        assert np.all(np.isnan(rep.residual[:, 40]))
+        rows = _rows(field, prob)
+        # The column sup covers every level and every column, edges included.
+        assert rep.column_sup.tobytes() == np.max(np.abs(rows), axis=0).tobytes()
         kept = np.delete(np.arange(41), [0, 40])
-        assert np.all(np.isfinite(rep.residual[:, kept]))
-        assert rep.sup_interior_residual == np.nanmax(np.abs(rep.residual))
+        assert np.all(np.isfinite(rows[:, kept]))
+        assert rep.sup_interior_residual == np.max(np.abs(rows[:, kept]))
+        # The extrapolated edges are off by more than the interior.
+        assert rep.column_sup[[0, 40]].min() > rep.sup_interior_residual
+        with pytest.raises(ValueError, match="read-only"):
+            rep.column_sup[0] = 0.0
 
     def test_kink_neighborhood_excluded(self):
         prob = _heat_problem(kink_points=(0.0,))
@@ -236,16 +254,25 @@ class TestResidual:
         rep = residual(field, prob, exclusion_radius=3)
         # dx = 0.05: |x| <= 0.15 covers indices 17..23.
         assert set(range(17, 24)).issubset(rep.excluded_nodes)
-        assert np.all(np.isnan(rep.residual[:, 17:24]))
+        kept = np.setdiff1d(np.arange(41), rep.excluded_nodes)
+        assert rep.sup_interior_residual == np.max(np.abs(_rows(field, prob)[:, kept]))
 
     def test_sup_skips_nan_like_nanmax_and_is_nan_with_no_node_kept(self):
         prob = _heat_problem(kink_points=(0.0,))
         field = solve_parabolic(prob, Grid1D(-1, 1, 41, 20, t_final=1.0))
         values = field.values.copy()
         values[5, 10] = np.nan
+        loaded = SpaceTimeField(field.grid, values, field.gradient, "loaded")
+        rep, rows = residual(loaded, prob), _rows(loaded, prob)
+        assert np.isnan(rows[4:7, 10]).all()
+        # A column is the sup of its non-NaN levels ...
+        assert rep.column_sup[10] == np.nanmax(np.abs(rows[:, 10]))
+        kept = np.setdiff1d(np.arange(41), rep.excluded_nodes)
+        assert rep.sup_interior_residual == np.nanmax(np.abs(rows[:, kept]))
+        # ... and NaN only where every level's R is NaN.
+        values[:, 10] = np.nan
         rep = residual(SpaceTimeField(field.grid, values, field.gradient, "loaded"), prob)
-        assert np.isnan(rep.residual[4:7, 10]).all()
-        assert rep.sup_interior_residual == np.nanmax(np.abs(rep.residual))
+        assert np.flatnonzero(np.isnan(rep.column_sup)).tolist() == [9, 10, 11]
         assert np.isnan(residual(field, prob, exclusion_radius=40).sup_interior_residual)
 
     def test_negative_exclusion_radius_raises(self, adv_params, adv_problem):
@@ -267,6 +294,13 @@ class TestResidual:
         rep = residual(field, adv_problem)
         assert rep.sup_interior_residual <= 1e-2
 
+    def test_discounted_problem_rejected(self):
+        # R has no rate * v term: the exact v = cost/rate read sup |R| = cost.
+        field = field_from_callable(lambda t, xs: np.ones_like(xs),
+                                    Grid1D(-1.0, 1.0, 11, 4, t_final=1.0))
+        with pytest.raises(ValueError, match="residual requires a finite-horizon problem"):
+            residual(field, make_discounted_demo(1.0, 1.0))
+
     def test_field_of_another_horizon_rejected(self, exit_time_problem):
         short = solve_exit(make_exit_demo("expected_exit_time", horizon=0.5),
                            Grid1D(0.0, 1.0, 41, 100))
@@ -275,12 +309,12 @@ class TestResidual:
 
 
 class TestResidualReusesMarchRows:
-    """The CLI's sup path reads the R rows the march formed for levels 1..nt.
+    """The CLI's report reads the R rows the march formed for levels 1..nt.
 
-    ``hjb._solve`` returns the field with the march's per-column sup of |R|
-    over levels 1..nt, and ``hjb._sup_residual`` adds level 0.  The
+    ``hjb._solve`` returns the field with a report built from the march's
+    per-column sup of |R| over levels 1..nt and the level-0 row.  The
     reference is ``residual`` on the same field, which computes every row
-    itself; the two must agree bit for bit.
+    itself; the two reports must agree bit for bit.
     """
 
     @staticmethod
@@ -299,19 +333,22 @@ class TestResidualReusesMarchRows:
         monkeypatch.setattr(hjb, "_minimize_batch", counted)
         return calls
 
-    def _assert_reused(self, monkeypatch, problem, grid, boundary=None, **kwargs):
-        field, col_sup = hjb._solve(problem, grid, boundary)
-        reference = residual(field, problem, **kwargs)
+    def _assert_reused(self, monkeypatch, problem, grid, boundary=None, exclusion_radius=3):
         calls = self._h0_calls(monkeypatch)
-        sup, excluded = hjb._sup_residual(field, problem, col_sup, **kwargs)
+        field, solved = hjb._solve(problem, grid, boundary)
         monkeypatch.undo()
-        assert calls == [field.grid.t0]  # level 0 only, minimized once
-        assert excluded == reference.excluded_nodes
-        assert np.float64(sup).tobytes() == np.float64(reference.sup_interior_residual).tobytes()
-        # The march's columns are the sup of |R| over levels 1..nt of the table.
-        keep = np.setdiff1d(np.arange(field.grid.nx), excluded)
-        per_column = np.fmax.reduce(np.abs(reference.residual[1:, keep]), axis=0)
-        assert col_sup[keep].tobytes() == per_column.tobytes()
+        # The march minimizes levels nt..1; beyond it, level 0 only, once.
+        assert calls == list(field.grid.ts[::-1])
+        if exclusion_radius != 3:  # the CLI's radius; the columns serve any other
+            solved = hjb._report(solved.column_sup, field.grid, problem, exclusion_radius)
+        reference = residual(field, problem, exclusion_radius=exclusion_radius)
+        assert solved.excluded_nodes == reference.excluded_nodes
+        assert (np.float64(solved.sup_interior_residual).tobytes()
+                == np.float64(reference.sup_interior_residual).tobytes())
+        assert solved.column_sup.tobytes() == reference.column_sup.tobytes()
+        # Every column, edges included, is the sup of |R| over all levels.
+        per_column = np.fmax.reduce(np.abs(_rows(field, problem)), axis=0)
+        assert reference.column_sup.tobytes() == per_column.tobytes()
         # The field is the public solver's, and its stored gradient is the
         # per-row central difference of the stored values, signed zeros included.
         public = (solve_exit(problem, grid) if problem.domain is not None
@@ -325,6 +362,9 @@ class TestResidualReusesMarchRows:
         calls = self._h0_calls(monkeypatch)
         field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 11, 8))
         assert calls == list(field.grid.ts[:0:-1])
+        calls.clear()  # a ladder discards the residual, so it forms no level-0 row
+        ladder = refine_ladder(_bang_bang_problem(), Grid1D(-1.0, 1.0, 11, 8), levels=3)
+        assert calls == [t for f in ladder.fields for t in f.grid.ts[:0:-1]]
 
     def test_exit_problems_minimize_with_psi_edges(self, monkeypatch, exit_time_problem,
                                                    exit_constant_problem):
@@ -360,10 +400,10 @@ class TestResidualReusesMarchRows:
         calls = self._h0_calls(monkeypatch)
         rep = residual(field, doubled)
         assert len(calls) == field.grid.nt + 1
-        assert rep.residual.tobytes() == reference.residual.tobytes()
-        # H0 is the running cost here, so doubling it shifts the residual by 1.
-        own = residual(field, exit_time_problem)
-        assert np.nanmax(np.abs(rep.residual - own.residual - 1.0)) <= 1e-9
+        assert rep.column_sup.tobytes() == reference.column_sup.tobytes()
+        # H0 is the running cost here, so doubling it shifts R by 1 at every node.
+        shift = _rows(field, doubled) - _rows(field, exit_time_problem)
+        assert np.max(np.abs(shift - 1.0)) <= 1e-9
 
     def test_replaced_values_do_not_inherit_the_rows(self, monkeypatch):
         prob = _bang_bang_problem()
@@ -373,8 +413,8 @@ class TestResidualReusesMarchRows:
         calls = self._h0_calls(monkeypatch)
         rep = residual(scaled, prob)
         assert len(calls) == field.grid.nt + 1
-        assert rep.residual.tobytes() == reference.residual.tobytes()
-        assert rep.residual.tobytes() != residual(field, prob).residual.tobytes()
+        assert rep.column_sup.tobytes() == reference.column_sup.tobytes()
+        assert rep.column_sup.tobytes() != residual(field, prob).column_sup.tobytes()
 
     def test_solved_arrays_are_read_only(self):
         field = solve_parabolic(_bang_bang_problem(), Grid1D(-1.0, 1.0, 5, 3))
@@ -572,6 +612,12 @@ class TestGradientDiagnostics:
         field = field_from_callable(lambda t, xs: np.ones_like(xs),
                                     Grid1D(-1.0, 2.0, 31, 10, t_final=1.0))
         assert gradient_diagnostics(field, adv_problem).blowup_exponents == {0.0: 0.0}
+
+    def test_discounted_problem_rejected(self):
+        field = field_from_callable(lambda t, xs: np.ones_like(xs),
+                                    Grid1D(-1.0, 1.0, 11, 4, t_final=1.0))
+        with pytest.raises(ValueError, match="gradient_diagnostics requires a finite-horizon"):
+            gradient_diagnostics(field, make_discounted_demo(1.0, 1.0))
 
     def test_probe_points_required_for_closed_form(self, adv_problem, adv_solution):
         with pytest.raises(ValueError, match="probe_points are required"):

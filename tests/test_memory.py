@@ -56,24 +56,23 @@ def _table_budget(grid: Grid1D, tables: int) -> int:
 
 @pytest.fixture(scope="module")
 def exit_solved(exit_time_problem):
-    """The CLI's solve of the exit field: the field and its march's column sup."""
-    return hjb._solve(exit_time_problem, Grid1D(0.0, 1.0, 401, 2000))
+    """The CLI's solve of the exit field, (field, residual report), and its peak."""
+    return _peak_bytes(lambda: hjb._solve(exit_time_problem, Grid1D(0.0, 1.0, 401, 2000)))
 
 
-def test_residual_builds_only_its_own_table(exit_time_problem, exit_solved):
-    # The field's values are read a row at a time.
-    field = exit_solved[0]
+def test_residual_builds_no_table(exit_time_problem, exit_solved):
+    # The field's values are read a row at a time and folded into nx column sups.
+    field = exit_solved[0][0]
     rep, peak = _peak_bytes(lambda: residual(field, exit_time_problem))
-    assert rep.residual.shape == field.values.shape
-    assert peak <= _table_budget(field.grid, 1)
-
-
-def test_cli_sup_residual_builds_no_table(exit_time_problem, exit_solved):
-    # Level 0 is the one row formed; the march's column sup holds the rest.
-    field, col_sup = exit_solved
-    (sup, _), peak = _peak_bytes(lambda: hjb._sup_residual(field, exit_time_problem, col_sup))
-    assert sup == residual(field, exit_time_problem).sup_interior_residual
+    assert rep.column_sup.shape == (field.grid.nx,)
     assert peak <= _table_budget(field.grid, 0)
+
+
+def test_cli_solve_holds_two_tables(exit_time_problem, exit_solved):
+    # Values and gradient; the report adds the level-0 row and nx column sups.
+    (field, rep), peak = exit_solved
+    assert rep.sup_interior_residual == residual(field, exit_time_problem).sup_interior_residual
+    assert peak <= _table_budget(field.grid, 2)
 
 
 def test_solve_exit_holds_two_tables(exit_time_problem):
