@@ -37,6 +37,12 @@ not finite there).  A grid or bracket point whose coefficients overflow reads
 +inf within its call.  The box scan runs in lockstep over all evaluation
 points: each of its steps makes one H_cv call covering every row still
 active, and every row gets bit for bit the result of a scan of that row alone.
+The array work around a call is fixed: a bracket block decides the rise test
+and the upturn runs of all its probes at once, in about 35 small array
+operations however many doublings it holds, and drops its finished rows once;
+a section pass takes about 18, on x, p (and, with several axes, z) rows
+repeated once per point and repeated anew only when a row leaves.  A one-axis
+scan ends after its one pass, with no round bookkeeping.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ _MAX_ROUNDS = 100          # coordinate-descent rounds of the box scan (k > 1)
 _MAX_DOUBLINGS = 1000
 _BRACKET_BLOCK = 8         # most doublings one H_cv call of the bracket probes
 _UPTURN_RUN = 3            # consecutive increases required to accept a bracket
+_DOUBLINGS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(_MAX_DOUBLINGS))])  # 0 and 2^0 .. 2^999
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,8 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
     P, k, res = xs.shape[0], U.dimension, _SCAN_POINTS
     if P == 0:
         return np.empty(0), np.empty((0, k))
-    lo, hi = np.tile(U.lower, (P, 1)), np.tile(U.upper, (P, 1))
+    lo, hi = np.empty((P, k)), np.empty((P, k))
+    lo[:], hi[:] = U.lower, U.upper
     base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
     for j in range(k):
         for bound, direction in ((hi, +1.0), (lo, -1.0)):
@@ -256,26 +264,26 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
     m = res ** k
     idx = np.indices((res,) * k).reshape(k, m)
     grid = np.stack([np.linspace(lo[:, j], hi[:, j], res, axis=1)[:, idx[j]] for j in range(k)], axis=-1)
-    xg, pg = np.repeat(xs, m, axis=0), np.repeat(ps, m, axis=0)
+    xg, pg = xs.repeat(m, axis=0), ps.repeat(m, axis=0)
     vals = _h_or_inf(prob, t, xg, pg, grid.reshape(P * m, k)).reshape(P, m)
     dead = ~np.isfinite(vals).any(axis=1)
     if dead.any():  # a row whose every grid point failed has no minimum: raise its error
         rep = np.repeat(dead, m)
         _h_cv(prob, t, xg[rep], pg[rep], grid[dead].reshape(-1, k))
-    vmin = np.nanmin(vals, axis=1, keepdims=True)
+    vmin = np.fmin.reduce(vals, axis=1, keepdims=True)  # np.nanmin without its Python wrapper
     best = np.argmax(vals <= vmin + 1e-12 * (1.0 + np.abs(vmin)), axis=1)  # first in grid order
     z = grid[np.arange(P), best]
     h = vals[np.arange(P), best]
     cell = (hi - lo) / (res - 1)
 
     # Coordinate-wise section search around the best cell.  One pass settles
-    # a single axis.  With several, a row goes on to another round only while
-    # its last one both moved a coordinate by more than the control step and
-    # lowered H_cv by more than roundoff; an axis's next bracket shrinks by 4
-    # but stays twice as wide as its last move, so a coupled valley is
-    # followed, not cut off.
+    # a single axis, so a one-axis scan ends there.  With several, a row goes
+    # on to another round only while its last one both moved a coordinate by
+    # more than the control step and lowered H_cv by more than roundoff; an
+    # axis's next bracket shrinks by 4 but stays twice as wide as its last
+    # move, so a coupled valley is followed, not cut off.
     rows = np.arange(P)
-    for _ in range(1 if k == 1 else _MAX_ROUNDS):
+    for _ in range(_MAX_ROUNDS):
         before, step = h[rows], np.empty((rows.size, k))
         for j in range(k):
             zr = z[rows]
@@ -284,18 +292,19 @@ def _scan_box(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray):
             zj, h[rows] = _section(prob, t, xs[rows], ps[rows], zr, j, a, b)
             step[:, j] = np.abs(zj - zr[:, j])
             z[rows, j] = zj
+        if k == 1:
+            return h, z
         cell[rows] = np.maximum(np.maximum(cell[rows] / 4.0, 2.0 * step), _CONTROL_STEP)
         after = h[rows]
         descent = before - after > _ROUND_GAIN * (1.0 + np.abs(after))
         rows = rows[(step.max(axis=1) > _CONTROL_STEP) & descent]
         if rows.size == 0:
-            break
-    else:
-        if k > 1:  # values stand as they are, but may be far from the minimum
-            log.warning(
-                "box scan at t=%s: %d of %d rows were still descending after %d "
-                "rounds of coordinate descent (strongly coupled controls); their "
-                "H0 and argmin may be inaccurate", t, rows.size, P, _MAX_ROUNDS)
+            return h, z
+    # The values stand as they are, but may be far from the minimum.
+    log.warning(
+        "box scan at t=%s: %d of %d rows were still descending after %d "
+        "rounds of coordinate descent (strongly coupled controls); their "
+        "H0 and argmin may be inaccurate", t, rows.size, P, _MAX_ROUNDS)
     return h, z
 
 
@@ -308,39 +317,49 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     non-decrease, read value by value as one doubling per call would.  A call
     probes up to _BRACKET_BLOCK doublings while it stays within _CALL_POINTS
     points (a large batch probes one); a probe whose coefficients fail reads
-    +inf.  Raises, naming the first row that never turns, after
-    _MAX_DOUBLINGS (H0 = -inf there: the Hamiltonian is not finite), and says
-    so when that row's probes only overflowed, which may also mean a doubling
-    stepped past a finite minimum.
+    +inf.  The rise test and the upturn runs of a whole block are decided at
+    once, and the rows that stopped leave once per block.  Raises, naming
+    the first row that never turns, after _MAX_DOUBLINGS (H0 = -inf there:
+    the Hamiltonian is not finite), and says so when that row's probes only
+    overflowed, which may also mean a doubling stepped past a finite minimum.
     """
     start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
-    increases, prev, first = np.zeros(rows.size, dtype=int), None, 0
-    values = start + direction * np.concatenate([[0.0], np.ldexp(1.0, np.arange(_MAX_DOUBLINGS))])
-    while first < values.size:
+    xr, pr, run, prev, first = xs, ps, np.zeros(rows.size, dtype=int), None, 0
+    while first < _DOUBLINGS.size:
         size = min(_BRACKET_BLOCK + (prev is None), max(1, _CALL_POINTS // rows.size))
-        block = values[first:first + size]  # the first block may also probe the start
+        block = start + direction * _DOUBLINGS[first:first + size]
         first += block.size
-        z = np.tile(base, (block.size * rows.size, 1))
-        z[:, axis] = np.repeat(block, rows.size)
-        cur = _h_or_inf(prob, t, np.tile(xs[rows], (block.size, 1)),
-                        np.tile(ps[rows], (block.size, 1)), z).reshape(block.size, -1)
-        for j, value in enumerate(block):
-            c = cur[j]  # cur keeps the columns of the rows still open
-            if prev is None:  # H_cv at the start only anchors the first comparison
-                prev = c
-                continue
-            # Non-decrease counts toward the upturn: a flat H_cv (no control
-            # dependence along this axis) attains its infimum anywhere, so any
-            # finite bracket is valid; only a strict decrease resets the run.
-            # Overflow far out (+inf, also after +inf) extends a run that began
-            # with a finite non-decrease, but cannot start one: +inf also stands
-            # for an evaluation that broke down (0·inf), which is no upturn.
-            with np.errstate(invalid="ignore"):  # inf - inf after an overflow
-                rise = np.isfinite(c) & (c >= prev - 1e-14 * (1.0 + np.abs(prev)))
-            increases = np.where(rise | ((c == math.inf) & (increases > 0)), increases + 1, 0)
-            done = increases >= _UPTURN_RUN
-            stops[rows[done]] = value
-            rows, cur, prev, increases = rows[~done], cur[:, ~done], c[~done], increases[~done]
+        z = base[None].repeat(block.size * rows.size, axis=0)
+        z[:, axis] = block.repeat(rows.size)
+        cur = _h_or_inf(prob, t, xr[None].repeat(block.size, axis=0).reshape(-1, xr.shape[1]),
+                        pr[None].repeat(block.size, axis=0).reshape(-1, pr.shape[1]),
+                        z).reshape(block.size, -1)
+        if prev is None:  # H_cv at the start only anchors the first comparison
+            prev, cur, block = cur[0], cur[1:], block[1:]
+        before = np.concatenate((prev[None], cur[:-1]))
+        # Non-decrease counts toward the upturn: a flat H_cv (no control
+        # dependence along this axis) attains its infimum anywhere, so any
+        # finite bracket is valid; only a strict decrease resets the run.
+        # Overflow far out (+inf, also after +inf) extends a run that began
+        # with a finite non-decrease, but cannot start one: +inf also stands
+        # for an evaluation that broke down (0·inf), which is no upturn.
+        with np.errstate(invalid="ignore"):  # inf - inf after an overflow
+            rise = np.isfinite(cur) & (cur >= before - 1e-14 * (1.0 + np.abs(before)))
+        # The run at every probe of the block at once: a run is on from a rise
+        # through the overflows after it (``run`` > 0 carries one in), and
+        # counts the probes since it was last off.
+        probe = np.arange(block.size)[:, None]
+        on = (np.maximum.accumulate(np.where(rise, probe, np.where(run > 0, -1, -2)), axis=0)
+              > np.maximum.accumulate(np.where(rise | (cur == math.inf), -2, probe), axis=0))
+        runs = probe - np.maximum.accumulate(np.where(on, -1 - run, probe), axis=0)
+        hit = runs >= _UPTURN_RUN
+        if block.size:  # a first block of the start alone compares nothing
+            prev, run = cur[-1], runs[-1]
+        done = hit.any(axis=0)
+        if done.any():  # a row stops at its first upturn of the block
+            stops[rows[done]] = block[hit[:, done].argmax(axis=0)]
+            keep = ~done
+            rows, xr, pr, run, prev = rows[keep], xr[keep], pr[keep], run[keep], prev[keep]
             if rows.size == 0:
                 return stops
     i, where = rows[0], (f"along the unbounded control axis {axis} ({_MAX_DOUBLINGS} "
@@ -368,31 +387,41 @@ def _section(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray, z: 
     exactly on the boundary (an active box constraint) is returned exactly
     rather than displaced by half the final bracket width.
     """
-    def fn(xl, pl, zl, v):  # H_cv at the (R, m) coordinates v of R rows
-        m = v.shape[1]
-        zs = np.repeat(zl, m, axis=0)
-        zs[:, axis] = v.ravel()
-        return _h_cv(prob, t, np.repeat(xl, m, axis=0), np.repeat(pl, m, axis=0), zs).reshape(v.shape)
+    def fn(xr, pr, zr, v):  # H_cv at the (R, m) coordinates v of R rows repeated m times
+        if zr is None:  # one control axis: v is the whole control
+            zr = v.reshape(-1, 1)
+        else:
+            zr[:, axis] = v.ravel()
+        return _h_cv(prob, t, xr, pr, zr).reshape(v.shape)
 
     a0, b0, a, b = a, b, a.copy(), b.copy()
     frac = np.arange(_SECTION_POINTS + 2) / (_SECTION_POINTS + 1)  # the ends and the K points
-    # The loop works on the live rows only, compacted whenever one finishes;
-    # a row's final bracket is written back to a, b as it leaves.
+    inner, left, right = frac[1:-1], frac[:-2], frac[2:]
+    # The loop works on the live rows only, repeated once per point and
+    # compacted whenever one finishes; a row's final bracket is written back
+    # to a, b as it leaves.
     rows = np.flatnonzero(b - a > _CONTROL_STEP)
-    lo, xl, pl, zl = a[rows], xs[rows], ps[rows], z[rows]
+    lo = a[rows]
     width = b[rows] - lo
+    one_axis = z.shape[1] == 1
+    xr, pr = xs[rows].repeat(_SECTION_POINTS, axis=0), ps[rows].repeat(_SECTION_POINTS, axis=0)
+    zr = None if one_axis else z[rows].repeat(_SECTION_POINTS, axis=0)
     while rows.size:
-        best = np.argmin(fn(xl, pl, zl, lo[:, None] + width[:, None] * frac[1:-1]), axis=1)
-        lo, hi = lo + width * frac[best], lo + width * frac[best + 2]  # the minimum's neighbours
+        best = fn(xr, pr, zr, lo[:, None] + width[:, None] * inner).argmin(axis=1)
+        lo, hi = lo + width * left[best], lo + width * right[best]  # the minimum's neighbours
         w = hi - lo
         keep = (w > _CONTROL_STEP) & (w < width)  # far out, ulp(z) > step stalls the bracket
         width = w
         if not keep.all():
             a[rows], b[rows] = lo, hi
-            rows, lo, width, xl, pl, zl = (v[keep] for v in (rows, lo, width, xl, pl, zl))
-    candidates = np.column_stack([0.5 * (a + b), a0, b0])
-    values = fn(xs, ps, z, candidates)
-    pick = np.arange(a.size), np.argmin(values, axis=1)
+            rows, lo, width = rows[keep], lo[keep], width[keep]
+            live = keep.repeat(_SECTION_POINTS)
+            xr, pr, zr = xr[live], pr[live], None if one_axis else zr[live]
+    candidates = np.empty((a.size, 3))
+    candidates[:, 0], candidates[:, 1], candidates[:, 2] = 0.5 * (a + b), a0, b0
+    values = fn(xs.repeat(3, axis=0), ps.repeat(3, axis=0), None if one_axis else z.repeat(3, axis=0),
+                candidates)
+    pick = np.arange(a.size), values.argmin(axis=1)
     return candidates[pick], values[pick]
 
 

@@ -114,6 +114,10 @@ class ControlSet:
                 raise ValueError("box bounds must not be NaN")
             if np.any(lo > hi):
                 raise ValueError(f"box lower bound exceeds upper bound: {lo} > {hi}")
+            empty = (lo == np.inf) | (hi == -np.inf)
+            if empty.any():
+                j = empty.argmax()
+                raise ValueError(f"box axis {j} holds no real control: its bounds are [{lo[j]}, {hi[j]}]")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
         else:

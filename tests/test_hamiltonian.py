@@ -382,6 +382,53 @@ def _reference_stops(prob, xs, ps, base, axis, direction):
     return np.array(stops)
 
 
+def _point_h(prob, x, p):
+    """H_cv of the row (x, p) at one control value, one point per call; +inf where it fails."""
+    def h(value):
+        try:
+            return float(_h_cv(prob, _T, x[None], p[None], np.array([[value]]))[0])
+        except CoefficientError:
+            return math.inf
+    return h
+
+
+def _reference_section(h, a, b):
+    """The section search of one row, pass by pass in Python floats, with the same formulas."""
+    k = hamiltonian._SECTION_POINTS
+    frac = [i / (k + 1) for i in range(k + 2)]
+    lo, hi, width = a, b, b - a
+    while width > hamiltonian._CONTROL_STEP:
+        values = [h(lo + width * f) for f in frac[1:-1]]
+        best = min(range(k), key=values.__getitem__)  # the first minimizing point
+        lo, hi = lo + width * frac[best], lo + width * frac[best + 2]
+        if not hi - lo < width:  # far out, ulp(z) > step stalls the bracket
+            break
+        width = hi - lo
+    candidates = [0.5 * (lo + hi), a, b]
+    values = [h(c) for c in candidates]
+    best = min(range(3), key=values.__getitem__)
+    return candidates[best], values[best]
+
+
+def _reference_scan(prob, x, p):
+    """The one-axis box scan of one row in Python floats: bracket, coarse grid, one section pass."""
+    U, res = prob.control_set, hamiltonian._SCAN_POINTS
+    base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
+    lo, hi = float(U.lower[0]), float(U.upper[0])
+    if not math.isfinite(hi):
+        hi = float(_reference_stops(prob, x[None], p[None], base, 0, 1.0)[0])
+    if not math.isfinite(lo):
+        lo = float(_reference_stops(prob, x[None], p[None], base, 0, -1.0)[0])
+    h = _point_h(prob, x, p)
+    step = (hi - lo) / (res - 1)
+    grid = [lo + i * step for i in range(res - 1)] + [hi]  # np.linspace's formula
+    values = [h(z) for z in grid]
+    vmin = min(v for v in values if not math.isnan(v))
+    best = next(i for i, v in enumerate(values) if v <= vmin + 1e-12 * (1.0 + abs(vmin)))
+    z = grid[best]
+    return _reference_section(h, max(lo, z - step), min(hi, z + step))
+
+
 def _counting(prob, sizes):
     """``prob`` with a drift_controlled that appends each call's row count to ``sizes``.
 
@@ -471,8 +518,14 @@ class TestBoxScanCorpus:
                 counts[block, rows] = len(points)
         assert counts[hamiltonian._BRACKET_BLOCK, 1] <= counts[1, 1]
 
-    @pytest.mark.parametrize("name", ["upper_bounded", "two_sided", "overflow", "valley"])
-    def test_bracket_stops_equal_the_sequential_rule(self, name):
+    @pytest.mark.parametrize("name, block", [
+        pytest.param(name, block, id=name if block == hamiltonian._BRACKET_BLOCK else f"{name}-block{block}")
+        for name in ("upper_bounded", "two_sided", "overflow", "valley") for block in (1, 2, 3, 8)])
+    def test_bracket_stops_equal_the_sequential_rule(self, name, block, monkeypatch):
+        # A call decides a whole block of probes at once; short blocks put
+        # block edges inside runs of rises and inside the overflow class's
+        # runs of +inf, which the run counter must carry across.
+        monkeypatch.setattr(hamiltonian, "_BRACKET_BLOCK", block)
         prob, xs, ps, _ = _corpus(name)
         U = prob.control_set
         base = np.where(np.isfinite(U.lower), U.lower, np.where(np.isfinite(U.upper), U.upper, 0.0))
@@ -483,6 +536,32 @@ class TestBoxScanCorpus:
                 stops = hamiltonian._bracket(prob, _T, xs, ps, base, axis, direction)
                 want = _reference_stops(prob, xs, ps, base, axis, direction)
                 assert np.array_equal(stops, want), (axis, direction)
+
+    @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if _CORPUS[n][0].dimension == 1))
+    def test_section_equals_the_scalar_reference(self, name):
+        # The batched section search against one row at a time in Python
+        # floats, bit for bit; rows leave the batch at different passes, and
+        # every eighth bracket is already narrower than the control step.
+        prob, xs, ps, _ = _corpus(name)
+        _, argmins = _minimize_batch(prob, _T, xs, ps)
+        rng = np.random.default_rng(0)
+        a = argmins[:, 0] - rng.uniform(0.0, 2.0, _ROWS)
+        b = argmins[:, 0] + rng.uniform(0.0, 2.0, _ROWS)
+        b[::8] = a[::8] + 5e-9
+        zs, values = hamiltonian._section(prob, _T, xs, ps, argmins, 0, a, b)
+        for i in range(_ROWS):
+            want = _reference_section(_point_h(prob, xs[i], ps[i]), float(a[i]), float(b[i]))
+            assert (zs[i].hex(), values[i].hex()) == (want[0].hex(), want[1].hex()), i
+
+    @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if _CORPUS[n][0].dimension == 1))
+    def test_one_axis_scan_equals_the_scalar_reference(self, name):
+        # The whole lockstep scan (bracket, coarse grid, one section pass)
+        # against a scan of each row alone in Python floats, bit for bit.
+        prob, xs, ps, _ = _corpus(name)
+        values, argmins = _minimize_batch(prob, _T, xs, ps)
+        for i in range(_ROWS):
+            z, v = _reference_scan(prob, xs[i], ps[i])
+            assert (argmins[i, 0].hex(), values[i].hex()) == (z.hex(), v.hex()), i
 
     @pytest.mark.parametrize("c, warns", [(_VALLEY_C, False), (0.99, True)])
     def test_round_cap_warns_once_with_the_row_count(self, c, warns, caplog):

@@ -74,6 +74,19 @@ class TestControlSet:
         U = ControlSet.box([0.0], [np.inf])
         assert U.contains(np.array([[1e12], [-1e-6]])).tolist() == [True, False]
 
+    @pytest.mark.parametrize("lower, upper, axis", [
+        ([np.inf], [np.inf], 0),
+        ([-np.inf], [-np.inf], 0),
+        ([0.0, np.inf], [1.0, np.inf], 1),
+        ([0.0, -1.0, -np.inf], [1.0, 2.0, -np.inf], 2),
+    ])
+    def test_box_axis_without_a_real_control_rejected(self, lower, upper, axis):
+        # A lower bound of +inf or an upper bound of -inf leaves the axis no
+        # real value; the box scan once answered outside U there (H0 = -0.25
+        # at argmin -0.5 for F1 = z, p = 1, l = z² on box([inf], [inf])).
+        with pytest.raises(ValueError, match=f"box axis {axis} holds no real control"):
+            ControlSet.box(lower, upper)
+
 
 class TestDomain:
     def test_signed_distance_signs(self):
