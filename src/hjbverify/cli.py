@@ -146,6 +146,9 @@ def _resolve(raw: dict[str, dict[str, str]], command: str,
     if command == "benchmark" and "times" not in cfg["benchmark"]:
         horizon = float(cfg["problem"]["horizon"])
         cfg["benchmark"]["times"] = ",".join(str(q / 4 * horizon) for q in range(5))
+    if "grid" in cfg and cfg["grid"]["boundary"] == "closed_form" and kind != "advertising":
+        raise ConfigError("[grid] boundary = closed_form is only available for the "
+                          "advertising problem; use extrapolate")
     if "verify" in cfg:
         _parse_policy_spec(cfg["verify"]["policy"])
     return cfg
@@ -246,15 +249,8 @@ def _solve_field(cfg: dict, problem, params) -> tuple[hjb.SpaceTimeField, hjb.Re
     g = cfg["grid"]
     grid = hjb.Grid1D(x_min=float(g["x_min"]), x_max=float(g["x_max"]),
                       nx=int(g["nx"]), nt=int(g["nt"]))
-    if problem.domain is not None:
-        return hjb._solve(problem, grid)
     boundary = None
-    if cfg["grid"]["boundary"] == "closed_form":
-        if cfg["problem"]["kind"] != "advertising":
-            raise ConfigError(
-                "[grid] boundary = closed_form is only available for the "
-                "advertising problem; use extrapolate"
-            )
+    if g["boundary"] == "closed_form":  # advertising only, as _resolve checked
         boundary = lambda t, x: bm.advertising_value(params, t, x)  # noqa: E731
     return hjb._solve(problem, grid, boundary)
 
@@ -266,8 +262,6 @@ def _solve_field(cfg: dict, problem, params) -> tuple[hjb.SpaceTimeField, hjb.Re
 
 def cmd_solve(cfg: dict, out_dir: str) -> list[dict]:
     problem, params = _build_problem(cfg)
-    if isinstance(problem.horizon, DiscountedInfinite):
-        raise ConfigError("solve requires a finite-horizon problem kind")
     field, residual_report = _solve_field(cfg, problem, params)
     field.to_csv(os.path.join(out_dir, "field.csv"))
     _write_json(os.path.join(out_dir, "residual.json"), {

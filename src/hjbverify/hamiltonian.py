@@ -30,8 +30,9 @@ contracts by about c² per round on a valley with control coupling c, so
 strongly coupled controls can reach the cap of 100 rounds still descending:
 their values are returned as they stand, and each minimization that leaves
 rows at the cap logs one WARNING giving their number.  Unbounded axes are
-bracketed by geometric doubling from the finite corner, up to 8 doublings per
-H_cv call (one on a large batch); the upturn of H_cv is checked, never
+bracketed by geometric doubling from the finite corner, in units of 1 or of
+the corner's ulp if that is larger, up to 8 doublings per H_cv call (one on
+a large batch); the upturn of H_cv is checked, never
 assumed, and a missing upturn after 1000 doublings raises (the Hamiltonian is
 not finite there).  A grid or bracket point whose coefficients overflow reads
 +inf within its call.  The box scan runs in lockstep over all evaluation
@@ -312,7 +313,9 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
              base: np.ndarray, axis: int, direction: float) -> np.ndarray:
     """Geometric doubling along one unbounded axis until H_cv turns upward.
 
-    Returns the (P,) stops.  The sequence of ``base`` and its doublings is
+    Returns the (P,) stops.  The probes are ``base`` and ``base`` plus
+    ``direction`` times 2^j units, where a unit is the larger of 1 and the
+    ulp of the corner, so that every probe moves z.  The sequence is
     shared by all rows; each row stops at its own _UPTURN_RUN-th consecutive
     non-decrease, read value by value as one doubling per call would.  A call
     probes up to _BRACKET_BLOCK doublings while it stays within _CALL_POINTS
@@ -324,10 +327,12 @@ def _bracket(prob: ControlProblem, t: float, xs: np.ndarray, ps: np.ndarray,
     overflowed, which may also mean a doubling stepped past a finite minimum.
     """
     start, rows, stops = base[axis], np.arange(xs.shape[0]), np.empty(xs.shape[0])
+    # Steps of 1 would round back to a corner beyond 2^53 and read as flat.
+    step = direction * max(1.0, math.ulp(start))
     xr, pr, run, prev, first = xs, ps, np.zeros(rows.size, dtype=int), None, 0
     while first < _DOUBLINGS.size:
         size = min(_BRACKET_BLOCK + (prev is None), max(1, _CALL_POINTS // rows.size))
-        block = start + direction * _DOUBLINGS[first:first + size]
+        block = start + step * _DOUBLINGS[first:first + size]
         first += block.size
         z = base[None].repeat(block.size * rows.size, axis=0)
         z[:, axis] = block.repeat(rows.size)

@@ -9,8 +9,9 @@ marched backward with an IMEX step: the linear part is implicit with
 first-order upwinding of the F0 v_x term by sign(F0) (the resulting
 tridiagonal matrix is an M-matrix, hence the scheme is monotone), while the
 Hamiltonian source H0 is evaluated explicitly at the previous time level from
-central-difference gradients.  Exit problems solve the same equation on the
-domain with Dirichlet lateral data psi.
+central-difference gradients.  One rule, :func:`_edges`, gives every solve
+its edges: an exit problem's lateral data psi on its domain, else the caller's
+``boundary`` as Dirichlet data, or linear extrapolation when that is None.
 
 Maximization problems are solved in canonical form and flipped back, so the
 returned field carries values/gradients in the problem's declared sense.
@@ -251,10 +252,13 @@ def solve_parabolic(
     """Backward IMEX solve of the HJB terminal-value problem on ``grid``.
 
     ``boundary`` is None for linear-extrapolation edges (second difference
-    zero; needs nx >= 4), or Dirichlet data: a callable (t, x) -> value or an
-    object with ``value_at`` (values in the problem's declared sense).
+    zero; needs nx >= 4), or Dirichlet data: a callable (t, x) -> value, called
+    at one scalar x per edge, or an object with ``value_at`` (values in the
+    problem's declared sense).
     """
-    return _march(problem, grid, _parabolic_edges(problem, grid, boundary))[0]
+    if problem.domain is not None:
+        raise ValueError("solve_parabolic takes no problem with a domain; use solve_exit")
+    return _march(problem, grid, _edges(problem, grid, boundary))[0]
 
 
 def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
@@ -264,65 +268,63 @@ def solve_exit(problem: ControlProblem, grid: Grid1D) -> SpaceTimeField:
     compatibility at the parabolic corners was validated when the problem was
     constructed.
     """
-    return _march(problem, grid, _exit_edges(problem, grid))[0]
+    if problem.domain is None:
+        raise ValueError("solve_exit requires a problem with a domain")
+    return _march(problem, grid, _edges(problem, grid, None))[0]
 
 
 def _solve(problem: ControlProblem, grid: Grid1D,
            boundary=None) -> tuple[SpaceTimeField, ResidualReport]:
-    """``solve_exit`` for a problem with a domain (``boundary`` unused), else
-    ``solve_parabolic``; with ``residual(field, problem)``'s report, from the
-    march's column sup and level 0, the one row it leaves out."""
-    edges = (_exit_edges(problem, grid) if problem.domain is not None
-             else _parabolic_edges(problem, grid, boundary))
-    field, column_sup = _march(problem, grid, edges)
+    """``solve_exit`` or ``solve_parabolic``, whichever fits the problem, with
+    ``residual(field, problem)``'s report, from the march's column sup and
+    level 0, the one row it leaves out."""
+    field, column_sup = _march(problem, grid, _edges(problem, grid, boundary))
     row = _field_row(canonicalize(problem), field, 0, problem.sense == "maximize")
     np.fmax(column_sup, np.abs(row), out=column_sup)
     return field, _report(column_sup, field.grid, problem, _EXCLUSION_RADIUS)
 
 
-def _parabolic_edges(problem: ControlProblem, grid: Grid1D, boundary):
-    _terminal_time(problem, "solve_parabolic")
-    if problem.domain is not None:
-        raise ValueError("solve_parabolic takes no problem with a domain; use solve_exit")
+def _edges(problem: ControlProblem, grid: Grid1D,
+           boundary) -> Callable[[float], tuple[float, float]] | None:
+    """The march's edge data t -> (v(t, x_min), v(t, x_max)) in the canonical
+    (minimize) sense, or None for linear-extrapolation edges.
+
+    A problem with a domain takes psi at the domain's ends, which the grid
+    must match, and rejects a ``boundary``.  Any other problem takes
+    ``boundary`` as :func:`solve_parabolic` documents it.
+    """
+    _terminal_time(problem, "the HJB solver")
     if problem.dimension != 1:
         raise ValueError("the PDE solver is 1-d")
-    if boundary is None and grid.nx < 4:
-        raise ValueError(f"extrapolation edges need nx >= 4 (two interior nodes), got nx = {grid.nx}")
-    return _dirichlet_fn(boundary, grid)
-
-
-def _exit_edges(problem: ControlProblem, grid: Grid1D):
-    if problem.domain is None:
-        raise ValueError("solve_exit requires a problem with a domain")
-    if problem.dimension != 1:
-        raise ValueError("the PDE solver is 1-d")
-    a, b = float(problem.domain.lower[0]), float(problem.domain.upper[0])
-    scale = max(abs(a), abs(b), 1.0)
-    if abs(grid.x_min - a) > 1e-9 * scale or abs(grid.x_max - b) > 1e-9 * scale:
-        raise ValueError(
-            f"grid [{grid.x_min}, {grid.x_max}] must coincide with the domain [{a}, {b}]"
-        )
     ends = grid.xs[[0, -1]].reshape(2, 1)
-    return lambda t: tuple(float(v) for v in problem.boundary(t, ends))
-
-
-def _dirichlet_fn(boundary, grid: Grid1D) -> Callable[[float], tuple[float, float]] | None:
-    """Edge data t -> (v(t, x_min), v(t, x_max)); None for extrapolation edges."""
-    if boundary is None:
+    if problem.domain is not None:
+        if boundary is not None:
+            raise ValueError("exit problems take their edge data from boundary_cost, not a boundary")
+        a, b = float(problem.domain.lower[0]), float(problem.domain.upper[0])
+        tol = 1e-9 * max(abs(a), abs(b), 1.0)
+        if abs(grid.x_min - a) > tol or abs(grid.x_max - b) > tol:
+            raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must coincide with the domain [{a}, {b}]")
+        values = lambda t: problem.boundary(t, ends)  # noqa: E731
+    elif boundary is None:
+        if grid.nx < 4:
+            raise ValueError(f"extrapolation edges need nx >= 4 (two interior nodes), got nx = {grid.nx}")
         return None
-    if hasattr(boundary, "value_at"):
-        ends = grid.xs[[0, -1]].reshape(2, 1)
-        return lambda t: tuple(float(v) for v in boundary.value_at(t, ends))
-    if not callable(boundary):
+    elif hasattr(boundary, "value_at"):
+        values = lambda t: boundary.value_at(t, ends)  # noqa: E731
+    elif callable(boundary):
+        a, b = float(ends[0, 0]), float(ends[1, 0])
+        values = lambda t: (boundary(t, a), boundary(t, b))  # noqa: E731
+    else:
         raise TypeError("boundary must be None, a callable, or provide value_at")
-    a, b = float(grid.xs[0]), float(grid.xs[-1])
-    return lambda t: (float(boundary(t, a)), float(boundary(t, b)))
+    flip = -1.0 if problem.sense == "maximize" else 1.0
+    return lambda t: tuple(flip * float(v) for v in values(t))
 
 
 def _march(problem: ControlProblem, grid: Grid1D,
            dirichlet) -> tuple[SpaceTimeField, np.ndarray]:
-    """The solved field and, per x-column, the sup of |R| over levels 1..nt
-    (NaN where every level's R is NaN); :func:`_solve` adds level 0."""
+    """The field solved with the edges ``dirichlet`` of :func:`_edges` and, per
+    x-column, the sup of |R| over levels 1..nt (NaN where every level's R is
+    NaN); :func:`_solve` adds level 0."""
     prob = canonicalize(problem)
     flip = -1.0 if problem.sense == "maximize" else 1.0
     T = prob.horizon.terminal_time
@@ -367,7 +369,6 @@ def _march(problem: ControlProblem, grid: Grid1D,
         r = rhs[1:-1]
         if dirichlet is not None:
             ga, gb = dirichlet(t_impl)
-            ga, gb = flip * ga, flip * gb
             r[0] -= low[0] * ga
             r[-1] -= up[-1] * gb
         else:
@@ -514,7 +515,12 @@ def field_from_callable(
     gradient_fn: Callable | None = None,
     provenance: str = "closed_form",
 ) -> SpaceTimeField:
-    """Sample a closed-form value function onto a grid as a SpaceTimeField."""
+    """Sample a closed-form value function onto a grid as a SpaceTimeField.
+
+    ``value_fn(t, xs)`` and ``gradient_fn(t, xs)`` are called once per time
+    level with the (nx,) node array, not a (P, n) batch, and return (nx,)
+    values; without ``gradient_fn`` the gradient is each row's np.gradient.
+    """
     if grid.t_final is None:
         raise ValueError("grid needs t_final to sample a field")
     xs, ts = grid.xs, grid.ts
@@ -617,26 +623,15 @@ def refine_ladder(
     """
     if levels < 3:
         raise ValueError("a meaningful ladder needs at least 3 levels")
-    if problem.domain is not None and boundary is not None:
-        raise ValueError("exit problems take their edge data from boundary_cost; "
-                         "refine_ladder got a boundary as well")
-    grids = [base_grid]
-    for _ in range(levels - 1):
-        grids.append(grids[-1].refined())
-    fields = [solve_exit(problem, g) if problem.domain is not None
-              else solve_parabolic(problem, g, boundary) for g in grids]
+    grids = [base_grid.refined(2**lev) for lev in range(levels)]
+    fields = [_march(problem, g, _edges(problem, g, boundary))[0] for g in grids]
 
-    v_dist = []
-    g_dist = []
-    for lev in range(levels - 1):
-        c0, c1 = 2**lev, 2 ** (lev + 1)
-        # Coarsest-node views of both levels:
-        a_vals = fields[lev].values[::c0, ::c0]
-        b_vals = fields[lev + 1].values[::c1, ::c1]
-        a_grad = fields[lev].gradient[::c0, ::c0]
-        b_grad = fields[lev + 1].gradient[::c1, ::c1]
-        v_dist.append(float(np.max(np.abs(a_vals - b_vals))))
-        g_dist.append(float(np.max(np.abs(a_grad[:, 1:-1] - b_grad[:, 1:-1]))))
+    # Each level's values and gradient at the coarsest nodes, paired with the next level's.
+    coarse = [(f.values[::2**lev, ::2**lev], f.gradient[::2**lev, ::2**lev])
+              for lev, f in enumerate(fields)]
+    pairs = list(zip(coarse, coarse[1:]))
+    v_dist = [float(np.max(np.abs(va - vb))) for (va, _), (vb, _) in pairs]
+    g_dist = [float(np.max(np.abs(ga[:, 1:-1] - gb[:, 1:-1]))) for (_, ga), (_, gb) in pairs]
 
     decreasing = all(v_dist[i + 1] < v_dist[i] for i in range(len(v_dist) - 1))
     ratio_ok = v_dist[-1] <= 0.75 * v_dist[-2]

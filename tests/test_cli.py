@@ -167,6 +167,23 @@ class TestConfigValidation:
         assert f"[{section}] {key} = 'other' is not one of" in message
         assert all(value in message for value in allowed)
 
+    @pytest.mark.parametrize("command, kind", [
+        ("solve", "exit_expected_time"),
+        ("verify", "exit_constant"),
+        ("verify", "discounted_constant"),
+    ])
+    def test_closed_form_edges_only_for_advertising(self, tmp_path, command, kind):
+        # No other kind has closed-form edges: the setting was once ignored
+        # there, with exit status 0 and the setting echoed.
+        cfg = _config(tmp_path, f"[problem]\nkind = {kind}\n\n[grid]\nboundary = closed_form\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        (record,) = _json_of(out, "failures.json")
+        assert record["check"] == "run"
+        assert record["message"].startswith("[grid] boundary = closed_form is only available "
+                                             "for the advertising problem")
+        assert not (out / "config.ini").exists()
+
     def test_bad_policy_spec_is_rejected(self, tmp_path):
         message = _run_failure(
             tmp_path,

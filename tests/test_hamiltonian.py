@@ -344,6 +344,20 @@ _CORPUS = {
 }
 
 
+# Corners beyond 2^53, where base + 1 rounds back to base: ((z - c)/1e3 - x)²
+# at c = ±1e17 and p = 0, minimized at z = c ± 1e3·x.  They are kept out of
+# _CORPUS, whose classes are seeded by their places among its sorted names.
+_FAR = 1e17
+_FAR_CORNERS = {
+    "far_lower": (ControlSet.box([_FAR], [np.inf]),
+                  lambda t, x, z: ((z[:, 0] - _FAR) / 1e3 - x[:, 0]) ** 2,
+                  (1e3, 1e4), (0.0, 0.0), None),
+    "far_upper": (ControlSet.box([-np.inf], [-_FAR]),
+                  lambda t, x, z: ((z[:, 0] + _FAR) / 1e3 + x[:, 0]) ** 2,
+                  (1e3, 1e4), (0.0, 0.0), None),
+}
+
+
 def _overflow_quiet(cost):
     def quiet(t, x, z):
         with np.errstate(over="ignore"):
@@ -352,15 +366,16 @@ def _overflow_quiet(cost):
 
 
 def _corpus(name):
-    U, cost, x_range, p_range, argmin = _CORPUS[name]
-    rng = np.random.default_rng(sorted(_CORPUS).index(name))
+    U, cost, x_range, p_range, argmin = {**_CORPUS, **_FAR_CORNERS}[name]
+    rng = np.random.default_rng([*sorted(_CORPUS), *sorted(_FAR_CORNERS)].index(name))
     xs = rng.uniform(*x_range, (_ROWS, 1))
     ps = rng.uniform(*p_range, (_ROWS, 1))
     return _linear_drift_problem(U, cost=_overflow_quiet(cost)), xs, ps, argmin
 
 
 def _reference_stops(prob, xs, ps, base, axis, direction):
-    """The bracket's doubling rule, one probe per H_cv call and one row at a time."""
+    """The bracket's doubling rule, one probe per H_cv call and one row at a
+    time, in units of 1 or of the corner's ulp if that is larger."""
     def h(x, p, value):
         z = base.copy()
         z[axis] = value
@@ -371,7 +386,7 @@ def _reference_stops(prob, xs, ps, base, axis, direction):
 
     stops = []
     for x, p in zip(xs, ps):
-        prev, run, step = h(x, p, base[axis]), 0, 1.0
+        prev, run, step = h(x, p, base[axis]), 0, max(1.0, math.ulp(base[axis]))
         while run < 3:
             value = base[axis] + direction * step
             cur = h(x, p, value)
@@ -520,11 +535,13 @@ class TestBoxScanCorpus:
 
     @pytest.mark.parametrize("name, block", [
         pytest.param(name, block, id=name if block == hamiltonian._BRACKET_BLOCK else f"{name}-block{block}")
-        for name in ("upper_bounded", "two_sided", "overflow", "valley") for block in (1, 2, 3, 8)])
+        for name in ("upper_bounded", "two_sided", "overflow", "valley", *_FAR_CORNERS)
+        for block in (1, 2, 3, 8)])
     def test_bracket_stops_equal_the_sequential_rule(self, name, block, monkeypatch):
         # A call decides a whole block of probes at once; short blocks put
         # block edges inside runs of rises and inside the overflow class's
-        # runs of +inf, which the run counter must carry across.
+        # runs of +inf, which the run counter must carry across.  The far
+        # corners step in units of their ulp, 16.
         monkeypatch.setattr(hamiltonian, "_BRACKET_BLOCK", block)
         prob, xs, ps, _ = _corpus(name)
         U = prob.control_set
@@ -536,6 +553,16 @@ class TestBoxScanCorpus:
                 stops = hamiltonian._bracket(prob, _T, xs, ps, base, axis, direction)
                 want = _reference_stops(prob, xs, ps, base, axis, direction)
                 assert np.array_equal(stops, want), (axis, direction)
+
+    @pytest.mark.parametrize("name", sorted(_FAR_CORNERS))
+    def test_bracket_steps_past_a_corner_beyond_2_53(self, name):
+        # Steps of 1 from 1e17 round back to the corner, and three flat
+        # probes read as an upturn: the scan stopped there with H0 = 5.329e7.
+        U, cost, *_ = _FAR_CORNERS[name]
+        ev = minimize(_linear_drift_problem(U, cost), _T, 7.3e3, 0.0)
+        want = _FAR + 7.3e6 if name == "far_lower" else -_FAR - 7.3e6
+        assert abs(ev.value) <= 1e-9
+        assert abs(ev.argmin - want) <= math.ulp(want)
 
     @pytest.mark.parametrize("name", sorted(n for n in _CORPUS if _CORPUS[n][0].dimension == 1))
     def test_section_equals_the_scalar_reference(self, name):

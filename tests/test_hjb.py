@@ -224,6 +224,46 @@ class TestSolveExit:
             solve_exit(_heat_problem(), Grid1D(0.0, 1.0, 51, 40))
 
 
+class TestEveryEntrySolvesAlike:
+    """``solve_parabolic``, ``solve_exit``, ``hjb._solve`` and ``refine_ladder``
+    march with the edges of one rule, ``hjb._edges``, so each gives the same
+    field bit for bit."""
+
+    @staticmethod
+    def _assert_same(fields):
+        for field in fields[1:]:
+            assert field.grid == fields[0].grid
+            assert field.values.tobytes() == fields[0].values.tobytes()
+            assert field.gradient.tobytes() == fields[0].gradient.tobytes()
+
+    @pytest.mark.parametrize("edges", ["extrapolate", "callable", "value_at"])
+    @pytest.mark.parametrize("kind", ["advertising", "heat"])
+    def test_parabolic_entries(self, adv_params, adv_problem, adv_solution, kind, edges):
+        if kind == "advertising":  # maximize
+            problem, grid, exact = adv_problem, Grid1D(0.1, 5.0, 41, 50), adv_solution
+            fn = lambda t, x: advertising_value(adv_params, t, x)
+        else:  # minimize
+            problem, grid = _heat_problem(), Grid1D(-1.0, 1.0, 21, 20)
+            fn = lambda t, x: x**2 + (1.0 - t)
+            exact = field_from_callable(fn, dataclasses.replace(grid, t_final=1.0))
+        boundary = {"extrapolate": None, "callable": fn, "value_at": exact}[edges]
+        self._assert_same([solve_parabolic(problem, grid, boundary),
+                           hjb._solve(problem, grid, boundary)[0],
+                           refine_ladder(problem, grid, 3, boundary).fields[0]])
+
+    def test_exit_entries(self, exit_time_problem, exit_constant_problem):
+        grid = Grid1D(0.0, 1.0, 21, 40)
+        for problem in (exit_time_problem, exit_constant_problem):
+            self._assert_same([solve_exit(problem, grid), hjb._solve(problem, grid)[0],
+                               refine_ladder(problem, grid, 3).fields[0]])
+            with pytest.raises(ValueError, match="boundary_cost"):
+                hjb._solve(problem, grid, lambda t, x: 0.0)
+
+    def test_unusable_edge_data_raises(self):
+        with pytest.raises(TypeError, match="provide value_at"):
+            solve_parabolic(_heat_problem(), Grid1D(-1.0, 1.0, 11, 4), boundary=0.0)
+
+
 class TestResidual:
     def test_exact_solution_has_tiny_residual(self):
         prob = _heat_problem()
